@@ -30,11 +30,8 @@ def _read_diagram_text(source: str) -> str:
 
 def _load_tangle(source: str, max_iters: int):
     """A reduced OU tangle from an inline word or a diagram file/stdin."""
-    m = _WORD_HEADER.match(source)
-    if m and m.group(1) == "vpb":
-        return braid.ch(braid.parse_vpb(source), max_iters)
-    if m:
-        word, _ = braid.classical_to_vpb(braid.parse_classical(source))
+    if _WORD_HEADER.match(source):
+        word, _ = _parse_any_word(source)
         return braid.ch(word, max_iters)
     return parse(_read_diagram_text(source))
 
@@ -47,6 +44,22 @@ def _parse_any_word(text: str):
     if m:
         return braid.classical_to_vpb(braid.parse_classical(text))
     raise ParseError("expected a word starting with 'vpb <n>:' or 'br <n>:'")
+
+
+def _int_at_least(low: int):
+    """argparse ``type=`` for integers ``>= low``: anything else is a usage
+    error (exit 2), not a traceback from the library."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,19 +98,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tabulate", help="count braids by crossing number")
     p.add_argument("--kind", choices=enumeration.KINDS, required=True)
-    p.add_argument("-n", type=int, required=True, dest="n")
-    p.add_argument("-m", type=int, required=True, dest="m")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("-n", type=_int_at_least(2), required=True, dest="n")
+    p.add_argument("-m", type=_int_at_least(0), required=True, dest="m")
+    p.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; changes nothing"
+    )
     p.add_argument("--representatives", default=None, help="write one word per braid here")
     p.add_argument("--max-keys", type=int, default=None, help="abort beyond this many stored braids")
 
     p = sub.add_parser("worst", help="proud word of length m maximizing the OU crossing number")
     p.add_argument("--kind", choices=enumeration.KINDS, required=True)
-    p.add_argument("-n", type=int, required=True, dest="n")
-    p.add_argument("-m", type=int, required=True, dest="m")
+    p.add_argument("-n", type=_int_at_least(2), required=True, dest="n")
+    p.add_argument("-m", type=_int_at_least(1), required=True, dest="m")
 
     p = sub.add_parser("fibcheck", help="check the classical 3-strand count formula")
-    p.add_argument("-m", type=int, required=True, dest="m")
+    p.add_argument("-m", type=_int_at_least(1), required=True, dest="m")
     return parser
 
 
@@ -176,10 +191,14 @@ def _run(args: argparse.Namespace, max_iters: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.max_iters is not None:
-        max_iters = args.max_iters
-    else:
-        max_iters = int(os.environ.get("OU_MAX_ITERS", DEFAULT_MAX_ITERS))
+    max_iters = args.max_iters
+    if max_iters is None:
+        text = os.environ.get("OU_MAX_ITERS", str(DEFAULT_MAX_ITERS))
+        try:
+            max_iters = int(text)
+        except ValueError:
+            print(f"error: OU_MAX_ITERS must be an integer, got {text!r}", file=sys.stderr)
+            return 2
     try:
         return _run(args, max_iters)
     except ParseError as exc:

@@ -222,6 +222,8 @@ def _parse_key(token: str, line: int, column: int) -> Key:
         raise ParseError(f"expected integer or p/q rational, got {token!r}", line, column)
     if m.group(2) is None:
         return int(m.group(1))
+    if int(m.group(2)) == 0:
+        raise ParseError(f"zero denominator in {token!r}", line, column)
     value = Fraction(int(m.group(1)), int(m.group(2)))
     return int(value) if value.denominator == 1 else value
 

@@ -7,12 +7,12 @@ the classical case) must appear in generator order.  Pride only prunes
 redundant words; every braid keeps a representative of its minimal length.
 Distinct braids are then counted by deduplicating on the canonical key of
 the reduced OU form (joined with the end permutation for classical words,
-which need not be pure).
+which need not be pure).  Both :func:`tabulate` and :func:`worst_braid` grow
+words one level (one letter) at a time through :func:`_children`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass
 
@@ -86,19 +86,13 @@ def proud_words(n: int, m: int, kind: str = "virtual"):
     """Yield all proud words of length exactly ``m``, in lexicographic order."""
     _check_kind(kind)
     gens = generators(n, kind)
-    if m == 0:
-        yield ()
-        return
-
-    def rec(prefix):
-        if len(prefix) == m:
-            yield prefix
-            return
-        for h in proud_followers(prefix[-1], n, kind):
-            yield from rec(prefix + (h,))
-
-    for g in gens:
-        yield from rec((g,))
+    # one lazy generator per level, each drawing on the one before it
+    words = iter([()])
+    for _ in range(m):
+        words = (
+            w + (h,) for w in words for h in (proud_followers(w[-1], n, kind) if w else gens)
+        )
+    yield from words
 
 
 @dataclass(frozen=True)
@@ -142,32 +136,6 @@ def _word_sort_key(word: tuple, kind: str) -> tuple:
     return tuple(_ckey(k) for k in word)
 
 
-def _prefer(new: tuple, old: tuple, kind: str) -> bool:
-    """Length-then-lex: does word ``new`` beat ``old`` as a representative?"""
-    if len(new) != len(old):
-        return len(new) < len(old)
-    return _word_sort_key(new, kind) < _word_sort_key(old, kind)
-
-
-def _record(index: dict, key: bytes, word: tuple, kind: str, max_keys: int | None) -> None:
-    old = index.get(key)
-    if old is None:
-        if max_keys is not None and len(index) >= max_keys:
-            raise ResourceLimit(f"more than {max_keys} stored keys")
-        index[key] = word
-    elif _prefer(word, old, kind):
-        index[key] = word
-
-
-def _replay(n: int, kind: str, word: tuple, max_iters: int):
-    """Accumulator state (and position permutation) after a word."""
-    acc = OuAccumulator(n, max_iters)
-    perm = list(range(1, n + 1))
-    for letter in word:
-        _push_letter(acc, perm, letter, kind)
-    return acc, perm
-
-
 def _push_letter(acc: OuAccumulator, perm: list[int], letter, kind: str) -> None:
     if kind == "virtual":
         i, j, sign = letter
@@ -188,53 +156,32 @@ def _state_key(acc: OuAccumulator, perm: list[int], kind: str) -> bytes:
     return key
 
 
-def _raw_generators(n: int, kind: str) -> list:
-    if kind == "virtual":
-        return [(g.i, g.j, g.sign) for g in vpb_generators(n)]
-    return generators(n, "classical")
-
-
 def _raw_followers(n: int, kind: str) -> dict:
-    if kind == "virtual":
-        return {
-            (g.i, g.j, g.sign): [
-                (h.i, h.j, h.sign) for h in proud_followers(g, n, "virtual")
-            ]
-            for g in vpb_generators(n)
-        }
-    return {g: proud_followers(g, n, "classical") for g in generators(n, "classical")}
+    """Proud followers of each letter as raw tuples/ints; ``None`` (the
+    empty word) is followed by every generator."""
+    gens = generators(n, kind)
+    raw = (lambda g: (g.i, g.j, g.sign)) if kind == "virtual" else (lambda g: g)
+    table = {raw(g): [raw(h) for h in proud_followers(g, n, kind)] for g in gens}
+    table[None] = [raw(g) for g in gens]
+    return table
 
 
-def _walk(n, m, kind, acc, perm, word, followers, index, max_iters, max_keys):
-    if len(word) == m:
-        return
-    for h in followers[word[-1]] if word else _raw_generators(n, kind):
-        child = acc.copy()
-        child_perm = list(perm)
-        _push_letter(child, child_perm, h, kind)
-        child_word = word + (h,)
-        _record(index, _state_key(child, child_perm, kind), child_word, kind, max_keys)
-        _walk(n, m, kind, child, child_perm, child_word, followers, index, max_iters, max_keys)
+def _root(n: int, max_iters: int) -> tuple:
+    """The empty word's state ``(word, accumulator, position permutation)``."""
+    return (), OuAccumulator(n, max_iters), list(range(1, n + 1))
 
 
-def _subtree_index(args):
-    n, m, kind, prefix, max_iters, max_keys = args
-    acc, perm = _replay(n, kind, prefix, max_iters)
-    followers = _raw_followers(n, kind)
-    index: dict = {}
-    _walk(n, m, kind, acc, perm, prefix, followers, index, max_iters, max_keys)
-    return index
-
-
-def _merge(target: dict, source: dict, kind: str, max_keys: int | None) -> None:
-    for key, word in source.items():
-        old = target.get(key)
-        if old is None:
-            if max_keys is not None and len(target) >= max_keys:
-                raise ResourceLimit(f"more than {max_keys} stored keys")
-            target[key] = word
-        elif _prefer(word, old, kind):
-            target[key] = word
+def _children(states, kind: str, followers: dict):
+    """The children of one level's ``(word, acc, perm)`` states: each word
+    extended by every proud follower of its last letter, in parent order then
+    generator order.  A level built from these children in that order stays
+    sorted by ``_word_sort_key``."""
+    for word, acc, perm in states:
+        for h in followers[word[-1] if word else None]:
+            child = acc.copy()
+            child_perm = list(perm)
+            _push_letter(child, child_perm, h, kind)
+            yield word + (h,), child, child_perm
 
 
 def tabulate(
@@ -248,49 +195,38 @@ def tabulate(
 ) -> TabulationReport:
     """Count braids with exactly ``0 .. m`` crossings on ``n`` strands.
 
-    Enumerates proud words depth-first, deduplicates on canonical keys, and
-    counts each braid at the length where it first appears.  ``workers > 1``
-    partitions the word tree by prefix across processes; counts are
-    independent of the partitioning because merging keeps the minimal
-    (length, word) entry per key.
+    A level-synchronous frontier over distinct braids: level ``L`` holds one
+    proud word per braid first reached with ``L`` letters, and only those
+    words are extended to level ``L + 1``.  A word whose braid was already
+    reached by a shorter word cannot give a braid a smaller first length, so
+    each braid is counted at its minimal crossing number.  Levels stay in
+    lexicographic order, so the first word seen for a braid is its
+    lexicographically smallest minimal word; every prefix of that word is
+    itself the smallest minimal word of its own braid, so the frontier does
+    reach it.  That word is the braid's representative.
+
+    ``workers`` is accepted for compatibility and changes nothing: the
+    frontier runs serially.
     """
     _check_kind(kind)
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
-    index: dict = {}
-    root, root_perm = _replay(n, kind, (), max_iters)
-    _record(index, _state_key(root, root_perm, kind), (), kind, max_keys)
-
-    split = min(m, 2)
-    prefixes: list[tuple] = []
-    if split > 0:
-        # enumerate words up to the split depth here; subtrees go to workers
-        followers = _raw_followers(n, kind)
-
-        def grow(word, acc, perm, depth):
-            for h in followers[word[-1]] if word else _raw_generators(n, kind):
-                child = acc.copy()
-                child_perm = list(perm)
-                _push_letter(child, child_perm, h, kind)
-                child_word = word + (h,)
-                _record(index, _state_key(child, child_perm, kind), child_word, kind, max_keys)
-                if depth + 1 == split:
-                    prefixes.append(child_word)
-                else:
-                    grow(child_word, child, child_perm, depth + 1)
-
-        grow((), root, root_perm, 0)
-
-    if m > split:
-        tasks = [(n, m, kind, p, max_iters, max_keys) for p in prefixes]
-        if workers > 1 and len(tasks) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                chunk = max(1, len(tasks) // (workers * 4))
-                for sub in pool.map(_subtree_index, tasks, chunksize=chunk):
-                    _merge(index, sub, kind, max_keys)
-        else:
-            for task in tasks:
-                _merge(index, _subtree_index(task), kind, max_keys)
+    followers = _raw_followers(n, kind)
+    root = _root(n, max_iters)
+    index = {_state_key(*root[1:], kind): ()}
+    level = [root]
+    for depth in range(1, m + 1):
+        fresh = []
+        for word, acc, perm in _children(level, kind, followers):
+            key = _state_key(acc, perm, kind)
+            if key in index:
+                continue
+            if max_keys is not None and len(index) >= max_keys:
+                raise ResourceLimit(f"more than {max_keys} stored keys")
+            index[key] = word
+            if depth < m:  # the last level's states are never extended
+                fresh.append((word, acc, perm))
+        level = fresh
 
     counts = [0] * (m + 1)
     for word in index.values():
@@ -375,25 +311,20 @@ def worst_braid(
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     followers = _raw_followers(n, kind)
-    best: tuple[int, tuple] | None = None
-
-    def rec(word, acc, perm):
-        nonlocal best
-        if len(word) == m:
-            value = acc.crossing_count()
-            if best is None or value > best[0]:
-                best = (value, word)
-            return
-        for h in followers[word[-1]] if word else _raw_generators(n, kind):
-            child = acc.copy()
-            child_perm = list(perm)
-            _push_letter(child, child_perm, h, kind)
-            rec(word + (h,), child, child_perm)
-
-    root, root_perm = _replay(n, kind, (), max_iters)
-    rec((), root, root_perm)
-    assert best is not None
-    value, word = best
+    level = [_root(n, max_iters)]
+    for _ in range(m - 1):
+        # same braid and same last letter: identical proud subtrees
+        seen = set()
+        fresh = []
+        for word, acc, perm in _children(level, kind, followers):
+            state = (_state_key(acc, perm, kind), word[-1])
+            if state not in seen:
+                seen.add(state)
+                fresh.append((word, acc, perm))
+        level = fresh
+    # max() keeps the first of equal maxima, and the last level is in lex order
+    word, acc, _ = max(_children(level, kind, followers), key=lambda s: s[1].crossing_count())
+    value = acc.crossing_count()
     if kind == "virtual":
         return VirtualBraidWord(n, tuple(BraidGenerator(*g) for g in word)), value
     return ClassicalBraidWord(n, word), value

@@ -198,3 +198,32 @@ def test_max_iters_env_and_flag(tmp_path, capsys, monkeypatch):
 def test_missing_file_is_usage_error(capsys):
     assert main(["normalize", "/nonexistent/x.vd"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env, diagram",
+    [
+        (["tabulate", "--kind", "virtual", "-n", "1", "-m", "2"], None, None),
+        (["tabulate", "--kind", "virtual", "-n", "2", "-m", "-1"], None, None),
+        (["worst", "--kind", "virtual", "-n", "2", "-m", "0"], None, None),
+        (["fibcheck", "-m", "0"], None, None),
+        (["ch", "vpb 2: s1,2"], "abc", None),
+        (["normalize"], None, "vd 1\nx + 1/0 2\neos 3\n"),
+    ],
+    ids=["tabulate-n1", "tabulate-m-1", "worst-m0", "fibcheck-m0", "max-iters-env", "zero-denominator"],
+)
+def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("OU_MAX_ITERS", env)
+    if diagram is not None:
+        path = tmp_path / "bad.vd"
+        path.write_text(diagram)
+        argv = argv + [str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(("error:", "usage:"))
+    assert "Traceback" not in err

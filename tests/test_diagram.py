@@ -156,6 +156,9 @@ def test_parse_syntax_errors_carry_position():
         ou.parse("")
     with pytest.raises(ou.ParseError):
         ou.parse("vd 2\neos 2 4\nx + 1 3\n")
+    with pytest.raises(ou.ParseError) as exc:
+        ou.parse("vd 1\nx + 1/0 2\neos 3\n")
+    assert (exc.value.line, exc.value.column) == (2, 5)
 
 
 def test_parse_semantic_errors():

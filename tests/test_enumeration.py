@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -171,6 +172,29 @@ def test_representatives_file_roundtrip(tmp_path):
     assert lengths == sorted(lengths)
 
 
+# SHA-256 of every representatives file the session ``tab`` fixture writes
+# (the criterion 1, 2 and 8e tables), recorded from an exhaustive walk over
+# every proud word: any change to counts, representative words, their order
+# or the key hashes shows here.
+REPRESENTATIVES_SHA256 = {
+    (2, 6, "virtual"): "776ba98dcb08e5a2f925dfe76327d993c71ae3fc3bb3533e8b041e2298b6af62",
+    (3, 4, "virtual"): "c93b37d6d02cc85d6d8a19724fc0072b91d35e31fdbc3656b8e163a17c10685d",
+    (4, 3, "virtual"): "9f05d0ec66c515c5a748a2bbbcdd629fe265b19201090f5ad7b73a607881d34f",
+    (5, 2, "virtual"): "0f39b3bda9054067e6e8c069e06f764f760cc40b3defb9b314428305f03466c3",
+    (3, 3, "virtual"): "679d3d9404fa6489b2a14da6012bf4587df3dffbc1028d749d8911c745c7d7b2",
+    (2, 9, "classical"): "46fe7447722b26df2e47bed27eb5e6324b6c3b4a18135a08a96cf74bd273a5e3",
+    (3, 9, "classical"): "759071c832a5396a4ab898353fd98447cd1dd6d60612e76e0385a20005c8530c",
+    (4, 5, "classical"): "17dcca2518d2f827654813838fd839ba0630a1f8cce83ecd1445af18344d38b4",
+    (5, 4, "classical"): "964aca537f5187c13ee55334eb09c509eff2f94fa989a79996b0af82ca08edae",
+}
+
+
+@pytest.mark.parametrize("table", sorted(REPRESENTATIVES_SHA256), ids=lambda t: "%d-%d-%s" % t)
+def test_representatives_files_golden(tab, table):
+    with open(tab(*table).representatives_path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == REPRESENTATIVES_SHA256[table]
+
+
 def test_classical_representatives_key_includes_permutation(tmp_path):
     path = tmp_path / "creps.txt"
     ou.tabulate(3, 2, "classical", representatives_path=path)
@@ -212,3 +236,11 @@ def test_worst_braid_bounds_and_determinism():
     assert value4 == 28
     cword, cvalue = ou.worst_braid(3, 2, "classical")
     assert isinstance(cword, ou.ClassicalBraidWord) and cvalue >= 2
+    # maximizers and values recorded from an exhaustive walk over every proud word
+    for (n, m, kind), (text, xi) in {
+        (4, 5, "classical"): ("br 4: -1 2 -1 2 -1", 36),
+        (2, 6, "virtual"): ("vpb 2: s1,2 s2,1' s1,2 s2,1' s1,2 s2,1'", 168),
+        (3, 3, "virtual"): ("vpb 3: s1,2 s2,1' s1,2", 11),
+    }.items():
+        word, value = ou.worst_braid(n, m, kind)
+        assert (word.text(), value) == (text, xi)
