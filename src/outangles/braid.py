@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Crossing, Diagram, canonical_key, compose, identity_diagram
+from .diagram import Diagram, _assemble, canonical_key, compose, identity_diagram
 from .errors import ParseError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, ou_normal_form
 
@@ -99,17 +99,10 @@ class ClassicalBraidWord:
 
 def generator_diagram(n: int, g: BraidGenerator) -> Diagram:
     """The one-crossing diagram of a generator, tidied."""
-    keys: dict[int, int] = {}
-    eos = []
-    k = 1
-    for a in range(1, n + 1):
-        if a == g.i or a == g.j:
-            keys[a] = k
-            k += 1
-        eos.append(k)
-        k += 1
-    crossing = Crossing(g.sign, (g.i, keys[g.i]), (g.j, keys[g.j]))
-    return Diagram(n, (crossing,), tuple(eos))
+    strands: list[list[int]] = [[] for _ in range(n)]
+    strands[g.i - 1].append(1)
+    strands[g.j - 1].append(0)
+    return _assemble(n, (g.sign,), strands)
 
 
 def iota(w: VirtualBraidWord) -> Diagram:

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-iters",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="glide iteration cap (default 16777216; OU_MAX_ITERS overrides the default)",
     )
@@ -104,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="accepted for compatibility; changes nothing"
     )
     p.add_argument("--representatives", default=None, help="write one word per braid here")
-    p.add_argument("--max-keys", type=int, default=None, help="abort beyond this many stored braids")
+    p.add_argument(
+        "--max-keys", type=_int_at_least(1), default=None, help="abort beyond this many stored braids"
+    )
 
     p = sub.add_parser("worst", help="proud word of length m maximizing the OU crossing number")
     p.add_argument("--kind", choices=enumeration.KINDS, required=True)
@@ -193,11 +195,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     max_iters = args.max_iters
     if max_iters is None:
-        text = os.environ.get("OU_MAX_ITERS", str(DEFAULT_MAX_ITERS))
         try:
-            max_iters = int(text)
-        except ValueError:
-            print(f"error: OU_MAX_ITERS must be an integer, got {text!r}", file=sys.stderr)
+            max_iters = _int_at_least(0)(os.environ.get("OU_MAX_ITERS", str(DEFAULT_MAX_ITERS)))
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: OU_MAX_ITERS {exc}", file=sys.stderr)
             return 2
     try:
         return _run(args, max_iters)

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidDiagram, ParseError, StrandCountMismatch
 
 Key = int | Fraction
+Signs = Sequence[int] | Mapping[int, int]  # crossing id -> sign
 
 
 def _check_key(value: Key, what: str) -> None:
@@ -104,61 +106,52 @@ def crossing_number(d: Diagram) -> int:
     return len(d.crossings)
 
 
-def _strand_sequences(d: Diagram) -> list[list[tuple[int, bool]]]:
-    """Per-strand mark sequences in key order, as ``(crossing index, is_over)``."""
-    buckets: list[list[tuple[Key, int, bool]]] = [[] for _ in range(d.n)]
+def _strand_sequences(d: Diagram) -> list[list[int]]:
+    """Per-strand marks in key order.  A mark is the integer ``2 * cid + 1``
+    for the over pass of ``d.crossings[cid]`` and ``2 * cid`` for its under
+    pass, the encoding the rewriting engine works on."""
+    buckets: list[list[tuple[Key, int]]] = [[] for _ in range(d.n)]
     for cid, c in enumerate(d.crossings):
-        buckets[c.over[0] - 1].append((c.over[1], cid, True))
-        buckets[c.under[0] - 1].append((c.under[1], cid, False))
-    out: list[list[tuple[int, bool]]] = []
-    for bucket in buckets:
-        bucket.sort(key=lambda item: item[0])
-        out.append([(cid, over) for _, cid, over in bucket])
-    return out
+        buckets[c.over[0] - 1].append((c.over[1], (cid << 1) | 1))
+        buckets[c.under[0] - 1].append((c.under[1], cid << 1))
+    return [[mk for _, mk in sorted(bucket)] for bucket in buckets]
 
 
-def _assemble(n: int, signs: list[int], strands: list[list[tuple[int, bool]]]) -> Diagram:
-    """Build the tidied diagram with the given per-strand mark orders."""
-    over_key: dict[int, tuple[int, int]] = {}
-    under_key: dict[int, tuple[int, int]] = {}
+def _tidy_keys(strands: list[list[int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """The tidy numbering of per-strand mark orders: ``({mark: (strand,
+    key)}, end-of-strand keys)``, in walk order.  Keys run ``1 .. 2c + n``
+    along strand 1's marks, its end-of-strand, then strand 2, and so on, so
+    over marks are met in increasing key order."""
+    where: dict[int, tuple[int, int]] = {}
     eos: list[int] = []
     k = 1
     for a, seq in enumerate(strands, start=1):
-        for cid, over in seq:
-            (over_key if over else under_key)[cid] = (a, k)
+        for mk in seq:
+            where[mk] = (a, k)
             k += 1
         eos.append(k)
         k += 1
-    crossings = [Crossing(signs[cid], over_key[cid], under_key[cid]) for cid in over_key]
-    crossings.sort(key=lambda c: c.over[1])
+    return where, eos
+
+
+def _assemble(n: int, signs: Signs, strands: list[list[int]]) -> Diagram:
+    """Build the tidied diagram with the given per-strand mark orders;
+    ``signs[cid]`` is the sign of the crossing with marks ``2 * cid + 1``
+    and ``2 * cid``."""
+    where, eos = _tidy_keys(strands)
+    # a list, not a generator: tuple() of a generator allocates by guess and
+    # resizes, which raised the peak memory of large extraction graphs
+    crossings = [Crossing(signs[mk >> 1], at, where[mk ^ 1]) for mk, at in where.items() if mk & 1]
     return Diagram(n, tuple(crossings), tuple(eos))
-
-
-def _is_tidy(d: Diagram) -> bool:
-    k = 1
-    seqs = _strand_sequences(d)
-    for a, seq in enumerate(seqs, start=1):
-        for cid, over in seq:
-            key = d.crossings[cid].over[1] if over else d.crossings[cid].under[1]
-            if key != k:
-                return False
-            k += 1
-        if d.eos_keys[a - 1] != k:
-            return False
-        k += 1
-    overs = [c.over[1] for c in d.crossings]
-    return all(overs[i] < overs[i + 1] for i in range(len(overs) - 1))
 
 
 def tidy(d: Diagram) -> Diagram:
     """Renumber marks to the canonical ``1 .. 2c + n`` scheme.
 
     Preserves the per-strand order of marks and all (sign, over-strand,
-    under-strand) data.  Idempotent; returns ``d`` itself when it is already
-    tidy.
+    under-strand) data.  Idempotent; always returns a new diagram with
+    integer keys, equal to ``d`` when ``d`` is already tidy.
     """
-    if _is_tidy(d):
-        return d
     return _assemble(d.n, [c.sign for c in d.crossings], _strand_sequences(d))
 
 
@@ -171,31 +164,28 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """
     if d1.n != d2.n:
         raise StrandCountMismatch(f"cannot compose diagrams on {d1.n} and {d2.n} strands")
-    offset = len(d1.crossings)
-    seq1 = _strand_sequences(d1)
+    offset = 2 * len(d1.crossings)
     seq2 = _strand_sequences(d2)
-    merged = [seq1[a] + [(cid + offset, over) for cid, over in seq2[a]] for a in range(d1.n)]
+    merged = [seq + [mk + offset for mk in seq2[a]] for a, seq in enumerate(_strand_sequences(d1))]
     signs = [c.sign for c in d1.crossings] + [c.sign for c in d2.crossings]
     return _assemble(d1.n, signs, merged)
 
 
-def _format_canonical(n: int, rows: list[tuple[int, int, int]], eos: tuple[int, ...]) -> str:
-    """Shared canonical text emitter.
-
-    ``rows`` holds ``(sign, over key, under key)`` already sorted by over key.
-    """
+def _canonical_text(n: int, signs: Signs, strands: list[list[int]]) -> str:
+    """Canonical text of the tidied diagram with the given per-strand mark
+    orders (``signs`` as for :func:`_assemble`)."""
+    where, eos = _tidy_keys(strands)
     lines = [f"vd {n}"]
-    for sign, o, u in rows:
-        lines.append(f"x {'+' if sign > 0 else '-'} {o} {u}")
-    lines.append("eos " + " ".join(str(k) for k in eos))
+    for mk, (_, o) in where.items():
+        if mk & 1:
+            lines.append(f"x {'+' if signs[mk >> 1] > 0 else '-'} {o} {where[mk ^ 1][1]}")
+    lines.append("eos " + " ".join(map(str, eos)))
     return "\n".join(lines) + "\n"
 
 
 def serialize(d: Diagram) -> str:
     """Canonical text form of ``d`` (the diagram is tidied first)."""
-    t = tidy(d)
-    rows = [(c.sign, c.over[1], c.under[1]) for c in t.crossings]
-    return _format_canonical(t.n, rows, t.eos_keys)
+    return _canonical_text(d.n, [c.sign for c in d.crossings], _strand_sequences(d))
 
 
 def canonical_key(d: Diagram) -> bytes:

@@ -206,11 +206,29 @@ def tabulate(
     reach it.  That word is the braid's representative.
 
     ``workers`` is accepted for compatibility and changes nothing: the
-    frontier runs serially.
+    frontier runs serially.  ``representatives_path`` is opened for writing
+    before the frontier runs, so an unwritable path fails at once.
     """
     _check_kind(kind)
     if n < 2 or m < 0:
         raise ValueError("need n >= 2 and m >= 0")
+    if representatives_path is None:
+        index = _braid_index(n, m, kind, max_keys, max_iters)
+        path_str = None
+    else:
+        path_str = os.fspath(representatives_path)
+        with open(path_str, "w", encoding="ascii") as fh:
+            index = _braid_index(n, m, kind, max_keys, max_iters)
+            _write_representatives(fh, n, kind, index)
+    counts = [0] * (m + 1)
+    for word in index.values():
+        counts[len(word)] += 1
+    return TabulationReport(n, m, kind, tuple(counts), path_str)
+
+
+def _braid_index(n: int, m: int, kind: str, max_keys: int | None, max_iters: int) -> dict:
+    """Canonical key -> representative word of every braid with at most
+    ``m`` crossings, built by the frontier described in :func:`tabulate`."""
     followers = _raw_followers(n, kind)
     root = _root(n, max_iters)
     index = {_state_key(*root[1:], kind): ()}
@@ -227,16 +245,7 @@ def tabulate(
             if depth < m:  # the last level's states are never extended
                 fresh.append((word, acc, perm))
         level = fresh
-
-    counts = [0] * (m + 1)
-    for word in index.values():
-        counts[len(word)] += 1
-
-    path_str: str | None = None
-    if representatives_path is not None:
-        path_str = os.fspath(representatives_path)
-        _write_representatives(path_str, n, kind, index)
-    return TabulationReport(n, m, kind, tuple(counts), path_str)
+    return index
 
 
 def _tokens(word: tuple, kind: str) -> list[str]:
@@ -245,14 +254,13 @@ def _tokens(word: tuple, kind: str) -> list[str]:
     return [str(k) for k in word]
 
 
-def _write_representatives(path: str, n: int, kind: str, index: dict) -> None:
+def _write_representatives(fh, n: int, kind: str, index: dict) -> None:
     entries = sorted(
         index.items(), key=lambda item: (len(item[1]), _word_sort_key(item[1], kind))
     )
-    with open(path, "w", encoding="ascii") as fh:
-        for key, word in entries:
-            parts = [kind, str(n), str(len(word)), *_tokens(word, kind), key_hash(key)]
-            fh.write(" ".join(parts) + "\n")
+    for key, word in entries:
+        parts = [kind, str(n), str(len(word)), *_tokens(word, kind), key_hash(key)]
+        fh.write(" ".join(parts) + "\n")
 
 
 def read_representatives(path: str | os.PathLike):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diagram import Diagram, _assemble, _format_canonical, _strand_sequences
+from .diagram import Diagram, _assemble, _canonical_text, _strand_sequences
 from .errors import CapExceeded, CyclicDiagram, InvalidDiagram, SameCrossing
 
 DEFAULT_MAX_ITERS = 1 << 24
@@ -61,10 +61,8 @@ class _Scratch:
 
     @classmethod
     def from_diagram(cls, d: Diagram) -> "_Scratch":
-        seqs = _strand_sequences(d)
-        strands = [[(cid << 1) | (1 if over else 0) for cid, over in seq] for seq in seqs]
         signs = {cid: c.sign for cid, c in enumerate(d.crossings)}
-        return cls(d.n, signs, strands, len(d.crossings))
+        return cls(d.n, signs, _strand_sequences(d), len(d.crossings))
 
     @classmethod
     def identity(cls, n: int) -> "_Scratch":
@@ -146,44 +144,30 @@ class _Scratch:
                     out.append((s, i))
         return out
 
-    def is_ou(self) -> bool:
+    def cascade_edges(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """The digraph walked by cascade paths: the marks in traversal order,
+        and edges as index pairs, first from each mark to its strand
+        successor, then from each over mark down to its under mark in
+        crossing-id order."""
+        marks: list[int] = []
+        edges: list[tuple[int, int]] = []
         for lst in self.strands:
-            seen_under = False
-            for mk in lst:
-                if mk & 1:
-                    if seen_under:
-                        return False
-                else:
-                    seen_under = True
-        return True
+            start = len(marks)
+            marks.extend(lst)
+            edges.extend((v, v + 1) for v in range(start, len(marks) - 1))
+        index = {mk: v for v, mk in enumerate(marks)}
+        edges.extend((index[(cid << 1) | 1], index[cid << 1]) for cid in sorted(self.signs))
+        return marks, edges
 
     def is_acyclic(self) -> bool:
-        """No closed cascade path: strand-successor edges plus the drop edge
-        from each over mark to its under mark form an acyclic digraph."""
-        base = []
-        total = 0
-        for lst in self.strands:
-            base.append(total)
-            total += len(lst)
-        indeg = [0] * total
-        adj: list[list[int]] = [[] for _ in range(total)]
-        over_at: dict[int, int] = {}
-        under_at: dict[int, int] = {}
-        for s, lst in enumerate(self.strands):
-            for i, mk in enumerate(lst):
-                nid = base[s] + i
-                if i + 1 < len(lst):
-                    adj[nid].append(nid + 1)
-                    indeg[nid + 1] += 1
-                if mk & 1:
-                    over_at[mk >> 1] = nid
-                else:
-                    under_at[mk >> 1] = nid
-        for cid, o in over_at.items():
-            u = under_at[cid]
-            adj[o].append(u)
-            indeg[u] += 1
-        stack = [v for v in range(total) if indeg[v] == 0]
+        """No closed cascade path: :meth:`cascade_edges` is acyclic."""
+        marks, edges = self.cascade_edges()
+        indeg = [0] * len(marks)
+        adj: list[list[int]] = [[] for _ in marks]
+        for u, v in edges:
+            adj[u].append(v)
+            indeg[v] += 1
+        stack = [v for v, deg in enumerate(indeg) if deg == 0]
         seen = 0
         while stack:
             v = stack.pop()
@@ -192,7 +176,7 @@ class _Scratch:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     stack.append(w)
-        return seen == total
+        return seen == len(marks)
 
     # -- the glide move ----------------------------------------------------
 
@@ -207,50 +191,33 @@ class _Scratch:
                 "under and over marks of the interval belong to one crossing"
             )
         s1, s2 = self.signs[a], self.signs[b]
-        a_over = (a << 1) | 1
-        b_under = b << 1
-        sa = ia = sb = jb = -1
-        for st, marks in enumerate(self.strands):
-            for idx, mk in enumerate(marks):
-                if mk == a_over:
-                    sa, ia = st, idx
-                elif mk == b_under:
-                    sb, jb = st, idx
-
         c_new = self._next
-        d_new = self._next + 1
         self._next += 2
         self.signs[c_new] = s1 * s2
-        self.signs[d_new] = -s1 * s2
+        self.signs[c_new + 1] = -s1 * s2
 
         # b's over mark slides back to the old under slot, a's under mark
         # slides forward to the old over slot: the interval becomes OU
         lst[i] = (b << 1) | 1
         lst[i + 1] = a << 1
 
-        co, do = (c_new << 1) | 1, (d_new << 1) | 1
-        cu, du = c_new << 1, d_new << 1
-        inserts: dict[int, dict[int, tuple[list[int], list[int]]]] = {}
-        if s1 > 0:
-            inserts.setdefault(sa, {})[ia] = ([co], [do])
-        else:
-            inserts.setdefault(sa, {})[ia] = ([do], [co])
-        if s2 > 0:
-            inserts.setdefault(sb, {})[jb] = ([du], [cu])
-        else:
-            inserts.setdefault(sb, {})[jb] = ([cu], [du])
-        for st, spots in inserts.items():
-            old = self.strands[st]
-            new: list[int] = []
-            for idx, mk in enumerate(old):
-                spot = spots.get(idx)
-                if spot is None:
-                    new.append(mk)
-                else:
-                    new.extend(spot[0])
-                    new.append(mk)
-                    new.extend(spot[1])
-            self.strands[st] = new
+        # the new crossings' over marks flank a's over mark and their under
+        # marks flank b's under mark, in the order the signs give
+        c_over = (c_new << 1) | 1
+        c_under = c_new << 1
+        self._insert_around((a << 1) | 1, c_over, c_over + 2, s1 > 0)
+        self._insert_around(b << 1, c_under + 2, c_under, s2 > 0)
+
+    def _insert_around(self, anchor: int, before: int, after: int, keep: bool) -> None:
+        """Put ``before`` just ahead of ``anchor`` and ``after`` just behind
+        it, or the other way round when ``keep`` is false."""
+        if not keep:
+            before, after = after, before
+        for marks in self.strands:
+            if anchor in marks:
+                at = marks.index(anchor)
+                marks[at : at + 1] = (before, anchor, after)
+                return
 
     # -- full normalization -------------------------------------------------
 
@@ -273,39 +240,11 @@ class _Scratch:
 
     # -- export --------------------------------------------------------------
 
-    def _canonical_rows(self) -> tuple[list[tuple[int, int, int]], tuple[int, ...]]:
-        over_key: dict[int, int] = {}
-        under_key: dict[int, int] = {}
-        eos: list[int] = []
-        k = 1
-        for lst in self.strands:
-            for mk in lst:
-                (over_key if mk & 1 else under_key)[mk >> 1] = k
-                k += 1
-            eos.append(k)
-            k += 1
-        rows = [(self.signs[cid], ok, under_key[cid]) for cid, ok in over_key.items()]
-        rows.sort(key=lambda r: r[1])
-        return rows, tuple(eos)
-
     def canonical_text(self) -> str:
-        rows, eos = self._canonical_rows()
-        return _format_canonical(self.n, rows, eos)
+        return _canonical_text(self.n, self.signs, self.strands)
 
     def to_diagram(self) -> Diagram:
-        order: dict[int, int] = {}
-        signs: list[int] = []
-        strands: list[list[tuple[int, bool]]] = []
-        for lst in self.strands:
-            seq = []
-            for mk in lst:
-                cid = mk >> 1
-                if cid not in order:
-                    order[cid] = len(signs)
-                    signs.append(self.signs[cid])
-                seq.append((order[cid], bool(mk & 1)))
-            strands.append(seq)
-        return _assemble(self.n, signs, strands)
+        return _assemble(self.n, self.signs, self.strands)
 
 
 class OuAccumulator:
@@ -344,7 +283,7 @@ class OuAccumulator:
 
 def is_ou(d: Diagram) -> bool:
     """True iff on every strand all over marks precede all under marks."""
-    return _Scratch.from_diagram(d).is_ou()
+    return not _Scratch.from_diagram(d).uo_slots()
 
 
 def is_acyclic(d: Diagram) -> bool:
@@ -356,22 +295,14 @@ def cascade_graph(d: Diagram) -> tuple[list[tuple[int, int, bool]], list[tuple[i
     """The digraph walked by cascade paths.
 
     Nodes are the marks of ``d`` in traversal order, as ``(strand, crossing
-    index, is_over)``; edges (index pairs) run from each mark to its strand
-    successor and from each over mark down to its under mark.  ``d`` is
-    acyclic exactly when this digraph has no directed cycle.
+    index, is_over)``; edges are index pairs, first from each mark to its
+    strand successor in node order, then from each over mark down to its
+    under mark in crossing-index order.  ``d`` is acyclic exactly when this
+    digraph has no directed cycle.
     """
     scratch = _Scratch.from_diagram(d)
-    nodes: list[tuple[int, int, bool]] = []
-    index: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    for s, lst in enumerate(scratch.strands):
-        for i, mk in enumerate(lst):
-            index[mk] = len(nodes)
-            nodes.append((s + 1, mk >> 1, bool(mk & 1)))
-            if i > 0:
-                edges.append((len(nodes) - 2, len(nodes) - 1))
-    for cid in range(len(d.crossings)):
-        edges.append((index[(cid << 1) | 1], index[cid << 1]))
+    _, edges = scratch.cascade_edges()
+    nodes = [(s + 1, mk >> 1, bool(mk & 1)) for s, lst in enumerate(scratch.strands) for mk in lst]
     return nodes, edges
 
 
@@ -383,11 +314,11 @@ def is_reduced(d: Diagram) -> bool:
 def uo_intervals(d: Diagram) -> list[UoInterval]:
     """All under-then-over intervals of ``d``, in mark order."""
     scratch = _Scratch.from_diagram(d)
-    out = []
-    for s, i in scratch.uo_slots():
-        lst = scratch.strands[s]
-        out.append(UoInterval(s + 1, lst[i] >> 1, lst[i + 1] >> 1))
-    return out
+    return [_interval(scratch.strands, s, i) for s, i in scratch.uo_slots()]
+
+
+def _interval(strands: list[list[int]], s: int, i: int) -> UoInterval:
+    return UoInterval(s + 1, strands[s][i] >> 1, strands[s][i + 1] >> 1)
 
 
 def reduce_r12(d: Diagram) -> Diagram:
@@ -413,12 +344,7 @@ def glide_once(d: Diagram, iv: UoInterval) -> Diagram:
         )
     scratch = _Scratch.from_diagram(d)
     for s, i in scratch.uo_slots():
-        lst = scratch.strands[s]
-        if (
-            s + 1 == iv.strand
-            and lst[i] >> 1 == iv.under_crossing
-            and lst[i + 1] >> 1 == iv.over_crossing
-        ):
+        if _interval(scratch.strands, s, i) == iv:
             scratch.glide(s, i)
             return scratch.to_diagram()
     raise InvalidDiagram("not an under-then-over interval of this diagram")

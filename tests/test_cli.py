@@ -1,6 +1,7 @@
 import pytest
 
 import outangles as ou
+from outangles import enumeration
 from outangles.cli import main
 
 SCR_LONG = "vpb 3: s2,1' s1,3 s3,1 s1,3 s3,1 s1,3 s2,3 s2,1"
@@ -154,6 +155,16 @@ def test_tabulate_workers_same_bytes(capsys):
     assert capsys.readouterr().out == one
 
 
+def test_unwritable_representatives_path_fails_before_tabulating(monkeypatch, capsys):
+    def no_frontier(*args, **kwargs):
+        raise AssertionError("the frontier ran before the representatives file was opened")
+
+    monkeypatch.setattr(enumeration, "_children", no_frontier)
+    argv = ["tabulate", "--kind", "virtual", "-n", "3", "-m", "4"]
+    assert main(argv + ["--representatives", "/nonexistent/dir/x.txt"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_worst_command(capsys):
     assert main(["worst", "--kind", "virtual", "-n", "2", "-m", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -209,8 +220,23 @@ def test_missing_file_is_usage_error(capsys):
         (["fibcheck", "-m", "0"], None, None),
         (["ch", "vpb 2: s1,2"], "abc", None),
         (["normalize"], None, "vd 1\nx + 1/0 2\neos 3\n"),
+        (["--max-iters", "-1", "ch", "vpb 2: s1,2"], None, None),
+        (["ch", "vpb 2: s1,2"], "-4", None),
+        (["tabulate", "--kind", "virtual", "-n", "2", "-m", "2", "--max-keys", "-5"], None, None),
+        (["tabulate", "--kind", "virtual", "-n", "2", "-m", "2", "--max-keys", "0"], None, None),
     ],
-    ids=["tabulate-n1", "tabulate-m-1", "worst-m0", "fibcheck-m0", "max-iters-env", "zero-denominator"],
+    ids=[
+        "tabulate-n1",
+        "tabulate-m-1",
+        "worst-m0",
+        "fibcheck-m0",
+        "max-iters-env",
+        "zero-denominator",
+        "max-iters-flag-negative",
+        "max-iters-env-negative",
+        "max-keys-negative",
+        "max-keys-zero",
+    ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path, monkeypatch, capsys):
     if env is not None:
