@@ -136,15 +136,19 @@ def classical_to_vpb(b: ClassicalBraidWord) -> tuple[VirtualBraidWord, Permutati
     ``k + 1``; ``-k`` the inverse crossing; both then swap the two positions.
     """
     perm = list(range(1, b.n + 1))
-    letters = []
-    for k in b.letters:
-        p = abs(k) - 1
-        if k > 0:
-            letters.append(BraidGenerator(perm[p], perm[p + 1], 1))
-        else:
-            letters.append(BraidGenerator(perm[p + 1], perm[p], -1))
-        perm[p], perm[p + 1] = perm[p + 1], perm[p]
-    return VirtualBraidWord(b.n, tuple(letters)), tuple(perm)
+    letters = tuple(BraidGenerator(*_classical_crossing(perm, k)) for k in b.letters)
+    return VirtualBraidWord(b.n, letters), tuple(perm)
+
+
+def _classical_crossing(perm: list[int], k: int) -> tuple[int, int, int]:
+    """The crossing of classical letter ``k`` as ``(over strand, under
+    strand, sign)``, where ``perm[p]`` is the strand in position ``p + 1``;
+    swaps the two positions in ``perm``.  A plain triple, so that
+    enumeration can push it without building a :class:`BraidGenerator`."""
+    p = abs(k) - 1
+    left, right = perm[p], perm[p + 1]
+    perm[p], perm[p + 1] = right, left
+    return (left, right, 1) if k > 0 else (right, left, -1)
 
 
 def classical_key(b: ClassicalBraidWord, max_iters: int = DEFAULT_MAX_ITERS) -> bytes:

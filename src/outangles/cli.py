@@ -22,10 +22,15 @@ _WORD_HEADER = re.compile(r"^\s*(vpb|br)\s+\d+\s*:")
 
 
 def _read_diagram_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    with open(source, encoding="ascii") as fh:
-        return fh.read()
+    """Diagram text from a file, or from stdin for ``-``; text that does not
+    decode (files must be ASCII) is a :class:`ParseError`."""
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"diagram text does not decode: {exc}") from None
 
 
 def _load_tangle(source: str, max_iters: int):

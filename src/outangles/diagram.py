@@ -203,7 +203,7 @@ def key_hash(key: bytes) -> str:
     return hashlib.sha256(key).hexdigest()[:12]
 
 
-_KEY_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_KEY_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def _parse_key(token: str, line: int, column: int) -> Key:
@@ -246,7 +246,7 @@ def parse(text: str) -> Diagram:
     line, toks = rows[0]
     if toks[0][0] != "vd":
         raise ParseError(f"expected 'vd <n>' header, got {toks[0][0]!r}", line, toks[0][1])
-    if len(toks) != 2 or not toks[1][0].isdigit():
+    if len(toks) != 2 or not (toks[1][0].isascii() and toks[1][0].isdigit()):
         raise ParseError("expected 'vd <n>' header", line, toks[0][1])
     n = int(toks[1][0])
     if n < 1:

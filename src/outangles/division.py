@@ -27,20 +27,24 @@ def _require_reduced_ou(T: Diagram) -> Diagram:
     return tidy(T)
 
 
+def _quotient_or_none(T: Diagram, g: BraidGenerator, max_iters: int) -> Diagram | None:
+    """The reduced OU form of ``g``-inverse stacked before ``T`` if it has
+    fewer crossings than ``T``, else ``None``.  ``T`` must already be reduced
+    OU and tidied."""
+    candidate = ou_normal_form(compose(generator_diagram(T.n, g.inverse()), T), max_iters)
+    return candidate if crossing_number(candidate) < crossing_number(T) else None
+
+
 def _divisor_quotients(
     T: Diagram, max_iters: int
 ) -> list[tuple[BraidGenerator, Diagram]]:
     """All ``(g, quotient)`` pairs over the ``2n(n-1)`` generators, in
     generator order.  ``T`` must already be reduced OU and tidied."""
-    base = crossing_number(T)
-    out = []
-    for g in vpb_generators(T.n):
-        candidate = ou_normal_form(
-            compose(generator_diagram(T.n, g.inverse()), T), max_iters
-        )
-        if crossing_number(candidate) < base:
-            out.append((g, candidate))
-    return out
+    return [
+        (g, q)
+        for g in vpb_generators(T.n)
+        if (q := _quotient_or_none(T, g, max_iters)) is not None
+    ]
 
 
 def divisors(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> list[BraidGenerator]:
@@ -55,11 +59,10 @@ def quotient(T: Diagram, g: BraidGenerator, max_iters: int = DEFAULT_MAX_ITERS) 
     Defined only when ``g`` divides ``T``; otherwise raises
     :class:`NotADivisor`.
     """
-    T = _require_reduced_ou(T)
-    candidate = ou_normal_form(compose(generator_diagram(T.n, g.inverse()), T), max_iters)
-    if crossing_number(candidate) >= crossing_number(T):
+    q = _quotient_or_none(_require_reduced_ou(T), g, max_iters)
+    if q is None:
         raise NotADivisor(f"{g.token()} does not lower the crossing number")
-    return candidate
+    return q
 
 
 def peel(
@@ -140,27 +143,23 @@ def extraction_graph(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> Extracti
     return ExtractionGraph(nodes, tuple(edges), source, sinks[0])
 
 
-def _ordered_nodes(g: ExtractionGraph) -> list[bytes]:
-    return sorted(g.nodes)
-
-
-def _ordered_edges(
-    g: ExtractionGraph, index: dict[bytes, int]
-) -> list[tuple[bytes, BraidGenerator, bytes]]:
-    return sorted(
-        g.edges, key=lambda e: (index[e[0]], e[1].sort_key(), index[e[2]])
-    )
+def _ordered(g: ExtractionGraph):
+    """Nodes in ascending key order, each node's position in that order, and
+    the edges sorted by (source position, generator, target position)."""
+    keys = sorted(g.nodes)
+    index = {k: pos for pos, k in enumerate(keys)}
+    edges = sorted(g.edges, key=lambda e: (index[e[0]], e[1].sort_key(), index[e[2]]))
+    return keys, index, edges
 
 
 def to_dot(g: ExtractionGraph) -> str:
     """Deterministic DOT rendering: nodes labelled by xi in ascending key
     order, edges labelled ``s(i,j)`` / ``s(i,j)'``."""
-    keys = _ordered_nodes(g)
-    index = {k: pos for pos, k in enumerate(keys)}
+    keys, index, edges = _ordered(g)
     lines = ["digraph {"]
     for k in keys:
         lines.append(f'  "k{index[k]}" [label="{g.nodes[k][1]}"];')
-    for src, gen, dst in _ordered_edges(g, index):
+    for src, gen, dst in edges:
         label = f"s({gen.i},{gen.j})" + ("" if gen.sign > 0 else "'")
         lines.append(f'  "k{index[src]}" -> "k{index[dst]}" [label="{label}"];')
     lines.append("}")
@@ -170,9 +169,8 @@ def to_dot(g: ExtractionGraph) -> str:
 def to_edge_lines(g: ExtractionGraph) -> str:
     """Structured export: node table ``<key-hash> <xi>`` then one line per
     edge ``<from-hash> <token> <to-hash>``, in deterministic order."""
-    keys = _ordered_nodes(g)
-    index = {k: pos for pos, k in enumerate(keys)}
+    keys, _, edges = _ordered(g)
     lines = [f"{key_hash(k)} {g.nodes[k][1]}" for k in keys]
-    for src, gen, dst in _ordered_edges(g, index):
+    for src, gen, dst in edges:
         lines.append(f"{key_hash(src)} {gen.token()} {key_hash(dst)}")
     return "\n".join(lines) + "\n"

@@ -20,6 +20,9 @@ from .braid import (
     BraidGenerator,
     ClassicalBraidWord,
     VirtualBraidWord,
+    _classical_crossing,
+    parse_classical,
+    parse_vpb,
     permuted_key,
     vpb_generators,
 )
@@ -52,14 +55,6 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _vkey(g: BraidGenerator) -> tuple[int, int, int]:
-    return g.sort_key()
-
-
-def _ckey(k: int) -> tuple[int, int]:
-    return (abs(k), 0 if k > 0 else 1)
-
-
 def _commute_virtual(g: BraidGenerator, h: BraidGenerator) -> bool:
     return not ({g.i, g.j} & {h.i, h.j})
 
@@ -67,32 +62,33 @@ def _commute_virtual(g: BraidGenerator, h: BraidGenerator) -> bool:
 def proud_followers(g, n: int, kind: str = "virtual"):
     """Generators that may follow ``g`` without ruining a word's pride:
     everything except ``g``'s inverse and commuting generators that sort
-    before ``g``."""
+    before ``g``.  Classical letters commute when their positions are two or
+    more apart, and then sort by position alone."""
     _check_kind(kind)
     if kind == "virtual":
         return [
             h
             for h in vpb_generators(n)
-            if h != g.inverse() and not (_commute_virtual(g, h) and _vkey(h) < _vkey(g))
+            if h != g.inverse() and not (_commute_virtual(g, h) and h.sort_key() < g.sort_key())
         ]
-    return [
-        h
-        for h in generators(n, "classical")
-        if h != -g and not (abs(abs(h) - abs(g)) >= 2 and _ckey(h) < _ckey(g))
-    ]
+    return [h for h in generators(n, "classical") if h != -g and abs(g) - abs(h) < 2]
 
 
 def proud_words(n: int, m: int, kind: str = "virtual"):
     """Yield all proud words of length exactly ``m``, in lexicographic order."""
-    _check_kind(kind)
-    gens = generators(n, kind)
+    followers = _followers(n, kind)
     # one lazy generator per level, each drawing on the one before it
     words = iter([()])
     for _ in range(m):
-        words = (
-            w + (h,) for w in words for h in (proud_followers(w[-1], n, kind) if w else gens)
-        )
+        words = (w + (h,) for w in words for h in followers[w[-1] if w else None])
     yield from words
+
+
+def _followers(n: int, kind: str) -> dict:
+    """Proud followers of each generator; ``None`` (the empty word) is
+    followed by every generator."""
+    gens = generators(n, kind)
+    return {g: proud_followers(g, n, kind) for g in gens} | {None: gens}
 
 
 @dataclass(frozen=True)
@@ -130,23 +126,11 @@ class TabulationReport:
         )
 
 
-def _word_sort_key(word: tuple, kind: str) -> tuple:
-    if kind == "virtual":
-        return tuple((i, j, 0 if s > 0 else 1) for i, j, s in word)
-    return tuple(_ckey(k) for k in word)
-
-
 def _push_letter(acc: OuAccumulator, perm: list[int], letter, kind: str) -> None:
     if kind == "virtual":
-        i, j, sign = letter
-        acc.push(i, j, sign)
+        acc.push(letter.i, letter.j, letter.sign)
     else:
-        p = abs(letter) - 1
-        if letter > 0:
-            acc.push(perm[p], perm[p + 1], 1)
-        else:
-            acc.push(perm[p + 1], perm[p], -1)
-        perm[p], perm[p + 1] = perm[p + 1], perm[p]
+        acc.push(*_classical_crossing(perm, letter))
 
 
 def _state_key(acc: OuAccumulator, perm: list[int], kind: str) -> bytes:
@@ -154,16 +138,6 @@ def _state_key(acc: OuAccumulator, perm: list[int], kind: str) -> bytes:
     if kind == "classical":
         return permuted_key(tuple(perm), key)
     return key
-
-
-def _raw_followers(n: int, kind: str) -> dict:
-    """Proud followers of each letter as raw tuples/ints; ``None`` (the
-    empty word) is followed by every generator."""
-    gens = generators(n, kind)
-    raw = (lambda g: (g.i, g.j, g.sign)) if kind == "virtual" else (lambda g: g)
-    table = {raw(g): [raw(h) for h in proud_followers(g, n, kind)] for g in gens}
-    table[None] = [raw(g) for g in gens]
-    return table
 
 
 def _root(n: int, max_iters: int) -> tuple:
@@ -175,7 +149,7 @@ def _children(states, kind: str, followers: dict):
     """The children of one level's ``(word, acc, perm)`` states: each word
     extended by every proud follower of its last letter, in parent order then
     generator order.  A level built from these children in that order stays
-    sorted by ``_word_sort_key``."""
+    in lexicographic word order, letters compared in generator order."""
     for word, acc, perm in states:
         for h in followers[word[-1] if word else None]:
             child = acc.copy()
@@ -229,7 +203,7 @@ def tabulate(
 def _braid_index(n: int, m: int, kind: str, max_keys: int | None, max_iters: int) -> dict:
     """Canonical key -> representative word of every braid with at most
     ``m`` crossings, built by the frontier described in :func:`tabulate`."""
-    followers = _raw_followers(n, kind)
+    followers = _followers(n, kind)
     root = _root(n, max_iters)
     index = {_state_key(*root[1:], kind): ()}
     level = [root]
@@ -250,15 +224,14 @@ def _braid_index(n: int, m: int, kind: str, max_keys: int | None, max_iters: int
 
 def _tokens(word: tuple, kind: str) -> list[str]:
     if kind == "virtual":
-        return [BraidGenerator(*g).token() for g in word]
+        return [g.token() for g in word]
     return [str(k) for k in word]
 
 
 def _write_representatives(fh, n: int, kind: str, index: dict) -> None:
-    entries = sorted(
-        index.items(), key=lambda item: (len(item[1]), _word_sort_key(item[1], kind))
-    )
-    for key, word in entries:
+    """One line per braid in index order, which is by first length and then
+    lexicographic word order (see :func:`tabulate`)."""
+    for key, word in index.items():
         parts = [kind, str(n), str(len(word)), *_tokens(word, kind), key_hash(key)]
         fh.write(" ".join(parts) + "\n")
 
@@ -267,23 +240,27 @@ def read_representatives(path: str | os.PathLike):
     """Parse a representatives file back into words.
 
     Yields ``(word, first_length, key_hash)`` where ``word`` is a
-    :class:`VirtualBraidWord` or :class:`ClassicalBraidWord`.
+    :class:`VirtualBraidWord` or :class:`ClassicalBraidWord`.  A malformed
+    line raises :class:`ParseError` carrying its line number.
     """
-    from .braid import parse_classical, parse_vpb
-
-    with open(path, encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if len(parts) < 4:
-                raise ParseError("short representative line", line_no)
-            kind, n, length = parts[0], int(parts[1]), int(parts[2])
-            tokens, digest = parts[3:-1], parts[-1]
-            _check_kind(kind)
-            if kind == "virtual":
-                word = parse_vpb(f"vpb {n}: " + " ".join(tokens))
-            else:
-                word = parse_classical(f"br {n}: " + " ".join(tokens))
-            yield word, length, digest
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise ParseError("non-ASCII representative line", line_no)
+            parts = raw.decode("ascii").split()
+            if len(parts) < 4 or parts[0] not in KINDS:
+                raise ParseError("expected '<kind> <n> <length> <letters> <key hash>'", line_no)
+            kind, n, length, tokens = parts[0], parts[1], parts[2], " ".join(parts[3:-1])
+            if not length.isdecimal():
+                raise ParseError(f"bad first length {length!r}", line_no)
+            try:
+                if kind == "virtual":
+                    word = parse_vpb(f"vpb {n}: {tokens}")
+                else:
+                    word = parse_classical(f"br {n}: {tokens}")
+            except ParseError as exc:
+                raise ParseError(str(exc), line_no) from None
+            yield word, int(length), parts[-1]
 
 
 def fibonacci_check(m_max: int, counts: tuple[int, ...] | None = None) -> bool:
@@ -318,7 +295,7 @@ def worst_braid(
     _check_kind(kind)
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    followers = _raw_followers(n, kind)
+    followers = _followers(n, kind)
     level = [_root(n, max_iters)]
     for _ in range(m - 1):
         # same braid and same last letter: identical proud subtrees
@@ -334,5 +311,5 @@ def worst_braid(
     word, acc, _ = max(_children(level, kind, followers), key=lambda s: s[1].crossing_count())
     value = acc.crossing_count()
     if kind == "virtual":
-        return VirtualBraidWord(n, tuple(BraidGenerator(*g) for g in word)), value
+        return VirtualBraidWord(n, word), value
     return ClassicalBraidWord(n, word), value

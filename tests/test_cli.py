@@ -224,6 +224,7 @@ def test_missing_file_is_usage_error(capsys):
         (["ch", "vpb 2: s1,2"], "-4", None),
         (["tabulate", "--kind", "virtual", "-n", "2", "-m", "2", "--max-keys", "-5"], None, None),
         (["tabulate", "--kind", "virtual", "-n", "2", "-m", "2", "--max-keys", "0"], None, None),
+        (["normalize"], None, "vd \u00b2\neos 1\n"),
     ],
     ids=[
         "tabulate-n1",
@@ -236,6 +237,7 @@ def test_missing_file_is_usage_error(capsys):
         "max-iters-env-negative",
         "max-keys-negative",
         "max-keys-zero",
+        "non-ascii-file",
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path, monkeypatch, capsys):
@@ -243,7 +245,7 @@ def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path
         monkeypatch.setenv("OU_MAX_ITERS", env)
     if diagram is not None:
         path = tmp_path / "bad.vd"
-        path.write_text(diagram)
+        path.write_text(diagram, encoding="utf-8")
         argv = argv + [str(path)]
     try:
         code = main(argv)

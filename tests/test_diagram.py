@@ -159,6 +159,10 @@ def test_parse_syntax_errors_carry_position():
     with pytest.raises(ou.ParseError) as exc:
         ou.parse("vd 1\nx + 1/0 2\neos 3\n")
     assert (exc.value.line, exc.value.column) == (2, 5)
+    # '²'.isdigit() holds but int('²') fails: strand counts are ASCII digits
+    with pytest.raises(ou.ParseError) as exc:
+        ou.parse("vd \u00b2\neos 1\n")
+    assert (exc.value.line, exc.value.column) == (1, 1)
 
 
 def test_parse_semantic_errors():

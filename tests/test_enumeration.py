@@ -155,21 +155,50 @@ def test_tabulate_mirror_symmetry_classical():
     assert mirrored_counts(4, 2) == ou.tabulate(4, 2, "classical").count_exactly
 
 
-def test_representatives_file_roundtrip(tmp_path):
+def test_representatives_file_roundtrip(tab):
+    def letter_key(letter):
+        if isinstance(letter, BraidGenerator):
+            return letter.sort_key()
+        return (abs(letter), 0 if letter > 0 else 1)
+
+    for n, m, kind in ((3, 3, "virtual"), (4, 4, "classical")):
+        report = tab(n, m, kind)
+        rows = list(ou.read_representatives(report.representatives_path))
+        assert len(rows) == sum(report.count_exactly)
+        seen_keys = set()
+        for word, first_len, digest in rows:
+            assert len(word.letters) == first_len
+            if kind == "virtual":
+                key = ou.canonical_key(ou.ch(word))
+            else:
+                key = ou.classical_key(word)
+            assert ou.key_hash(key) == digest
+            seen_keys.add(key)
+        assert len(seen_keys) == len(rows)
+        # written by first length, then word, letters compared in generator order
+        order = [(length, tuple(map(letter_key, w.letters))) for w, length, _ in rows]
+        assert order == sorted(order)
+        assert len(set(order)) == len(order)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "virtual x 1 s1,2 abc",  # strand count is not a number
+        "virtual 3 one s1,2 abc",  # first length is not a number
+        "virtual 3 1 s1,9 abc",  # letter out of range
+        "classical 3 1 q abc",  # bad letter
+        "welded 3 1 1 abc",  # unknown kind
+        "virtual 3",  # short line
+        "classical 3 1 \u00b9 abc",  # not ASCII
+    ],
+)
+def test_read_representatives_errors_name_the_line(tmp_path, line):
     path = tmp_path / "reps.txt"
-    report = ou.tabulate(3, 2, "virtual", representatives_path=path)
-    rows = list(ou.read_representatives(path))
-    assert len(rows) == sum(report.count_exactly)
-    seen_keys = set()
-    for word, first_len, digest in rows:
-        assert len(word.letters) == first_len
-        key = ou.canonical_key(ou.ch(word))
-        assert ou.key_hash(key) == digest
-        seen_keys.add(key)
-    assert len(seen_keys) == len(rows)
-    # emitted sorted by (first length, word)
-    lengths = [r[1] for r in rows]
-    assert lengths == sorted(lengths)
+    path.write_text("virtual 3 0 abc\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ou.ParseError) as exc:
+        list(ou.read_representatives(path))
+    assert exc.value.line == 2
 
 
 # SHA-256 of every representatives file the session ``tab`` fixture writes
