@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Diagram, _assemble, canonical_key, compose, identity_diagram
+from .diagram import Diagram, _assemble, _parse_int, canonical_key, compose, identity_diagram
 from .errors import ParseError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, ou_normal_form
 
@@ -175,7 +175,7 @@ def parse_vpb(text: str) -> VirtualBraidWord:
     m = re.match(r"^\s*vpb\s+(\d+)\s*:\s*(.*?)\s*$", text, re.S)
     if not m:
         raise ParseError("expected 'vpb <n>: <tokens>'")
-    n = int(m.group(1))
+    n = _parse_int(m.group(1))
     letters = []
     for idx, tok in enumerate(m.group(2).split()):
         tm = _VPB_TOKEN.match(tok)
@@ -199,7 +199,7 @@ def parse_classical(text: str) -> ClassicalBraidWord:
     m = re.match(r"^\s*br\s+(\d+)\s*:\s*(.*?)\s*$", text, re.S)
     if not m:
         raise ParseError("expected 'br <n>: <letters>'")
-    n = int(m.group(1))
+    n = _parse_int(m.group(1))
     letters = []
     for idx, tok in enumerate(m.group(2).split()):
         try:

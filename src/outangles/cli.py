@@ -105,9 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=enumeration.KINDS, required=True)
     p.add_argument("-n", type=_int_at_least(2), required=True, dest="n")
     p.add_argument("-m", type=_int_at_least(0), required=True, dest="m")
-    p.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility; changes nothing"
-    )
     p.add_argument("--representatives", default=None, help="write one word per braid here")
     p.add_argument(
         "--max-keys", type=_int_at_least(1), default=None, help="abort beyond this many stored braids"
@@ -170,7 +167,6 @@ def _run(args: argparse.Namespace, max_iters: int) -> int:
             args.n,
             args.m,
             args.kind,
-            workers=args.workers,
             representatives_path=args.representatives,
             max_keys=args.max_keys,
             max_iters=max_iters,

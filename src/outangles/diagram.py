@@ -206,15 +206,26 @@ def key_hash(key: bytes) -> str:
 _KEY_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
+def _parse_int(digits: str, line: int | None = None, column: int | None = None) -> int:
+    """``int`` of a checked digit run; a run longer than the interpreter
+    converts is a :class:`ParseError`, not a ``ValueError``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"numeral of {len(digits)} characters is too long", line, column) from None
+
+
 def _parse_key(token: str, line: int, column: int) -> Key:
     m = _KEY_RE.match(token)
     if not m:
         raise ParseError(f"expected integer or p/q rational, got {token!r}", line, column)
+    numerator = _parse_int(m.group(1), line, column)
     if m.group(2) is None:
-        return int(m.group(1))
-    if int(m.group(2)) == 0:
+        return numerator
+    denominator = _parse_int(m.group(2), line, column)
+    if denominator == 0:
         raise ParseError(f"zero denominator in {token!r}", line, column)
-    value = Fraction(int(m.group(1)), int(m.group(2)))
+    value = Fraction(numerator, denominator)
     return int(value) if value.denominator == 1 else value
 
 
@@ -248,7 +259,7 @@ def parse(text: str) -> Diagram:
         raise ParseError(f"expected 'vd <n>' header, got {toks[0][0]!r}", line, toks[0][1])
     if len(toks) != 2 or not (toks[1][0].isascii() and toks[1][0].isdigit()):
         raise ParseError("expected 'vd <n>' header", line, toks[0][1])
-    n = int(toks[1][0])
+    n = _parse_int(toks[1][0], line, toks[1][1])
     if n < 1:
         raise InvalidDiagram("strand count must be at least 1")
 

@@ -162,7 +162,7 @@ def tabulate(
     n: int,
     m: int,
     kind: str = "virtual",
-    workers: int = 1,
+    *,
     representatives_path: str | os.PathLike | None = None,
     max_keys: int | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -179,9 +179,8 @@ def tabulate(
     itself the smallest minimal word of its own braid, so the frontier does
     reach it.  That word is the braid's representative.
 
-    ``workers`` is accepted for compatibility and changes nothing: the
-    frontier runs serially.  ``representatives_path`` is opened for writing
-    before the frontier runs, so an unwritable path fails at once.
+    ``representatives_path`` is opened for writing before the frontier
+    runs, so an unwritable path fails at once.
     """
     _check_kind(kind)
     if n < 2 or m < 0:

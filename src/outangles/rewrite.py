@@ -2,10 +2,22 @@
 
 The pipeline: remove every available kink (R1) and cancelling pair (R2);
 check once that the diagram has no closed cascade path; then repeatedly fix
-the first under-then-over interval with a glide move, re-reducing after each
-glide.  For cascade-acyclic diagrams this terminates in the unique reduced
-OU representative of the diagram's equivalence class, independently of the
-order in which intervals are fixed.
+the first under-then-over interval with a glide move.  For cascade-acyclic
+diagrams this terminates in the unique reduced OU representative of the
+diagram's equivalence class, independently of the order in which patterns
+are removed and intervals are fixed.
+
+Because the order does not matter, only the first search for patterns and
+intervals scans the whole diagram.  A glide or a removal changes a few
+adjacencies, and each mark whose right neighbour changed is rechecked
+against that neighbour: the mark left of the swapped pair and the pair
+itself, the marks around each of the two insertions, and the left
+neighbour of each removed mark.  An R1 is an adjacent pair of one
+crossing; an R2 is an adjacent pair of over marks (or of under marks) of
+opposite signs whose partner marks are adjacent too, in either order; and
+the mark joins or leaves the set of under-then-over slots.  Appending a
+crossing to a reduced OU state (the braid accumulator) rechecks only the
+two old tail marks.
 
 A glide replaces the two crossings ``a = X_{s1}[i1, j1]`` and
 ``b = X_{s2}[i2, j2]`` around a under-then-over interval ``(j1, i2)`` with::
@@ -74,13 +86,18 @@ class _Scratch:
     def crossing_count(self) -> int:
         return len(self.signs)
 
-    def append_crossing(self, i: int, j: int, sign: int) -> None:
-        """Add one crossing at the tails of strands ``i`` and ``j`` (1-based)."""
+    def append_crossing(self, i: int, j: int, sign: int) -> list[int]:
+        """Add one crossing at the tails of strands ``i`` and ``j`` (1-based);
+        return the marks whose right neighbour changed."""
         cid = self._next
         self._next += 1
         self.signs[cid] = sign
-        self.strands[i - 1].append((cid << 1) | 1)
-        self.strands[j - 1].append(cid << 1)
+        over, under = self.strands[i - 1], self.strands[j - 1]
+        touched = over[-1:]
+        over.append((cid << 1) | 1)
+        touched += under[-1:]
+        under.append(cid << 1)
+        return touched
 
     # -- pattern scans ----------------------------------------------------
 
@@ -180,9 +197,17 @@ class _Scratch:
 
     # -- the glide move ----------------------------------------------------
 
-    def glide(self, s: int, i: int) -> None:
+    def strand_of(self) -> dict[int, int]:
+        """The strand index of every mark."""
+        return {mk: s for s, lst in enumerate(self.strands) for mk in lst}
+
+    def glide(self, s: int, i: int, where: dict[int, int]) -> list[int]:
         """Fix the under-then-over interval at marks ``i``, ``i + 1`` of
-        strand ``s`` (0-based)."""
+        strand ``s`` (0-based), keeping the strand lookup ``where`` current.
+
+        Returns the marks whose right neighbour changed: those around the
+        swapped pair and around each anchor insertion.
+        """
         lst = self.strands[s]
         x, y = lst[i], lst[i + 1]
         a, b = x >> 1, y >> 1
@@ -198,26 +223,34 @@ class _Scratch:
 
         # b's over mark slides back to the old under slot, a's under mark
         # slides forward to the old over slot: the interval becomes OU
-        lst[i] = (b << 1) | 1
-        lst[i + 1] = a << 1
+        lst[i], lst[i + 1] = y, x
+        touched = [y, x] if i == 0 else [lst[i - 1], y, x]
 
         # the new crossings' over marks flank a's over mark and their under
         # marks flank b's under mark, in the order the signs give
         c_over = (c_new << 1) | 1
         c_under = c_new << 1
-        self._insert_around((a << 1) | 1, c_over, c_over + 2, s1 > 0)
-        self._insert_around(b << 1, c_under + 2, c_under, s2 > 0)
+        touched += self._insert_around(where, x | 1, c_over, c_over + 2, s1 > 0)
+        touched += self._insert_around(where, y ^ 1, c_under + 2, c_under, s2 > 0)
+        return touched
 
-    def _insert_around(self, anchor: int, before: int, after: int, keep: bool) -> None:
+    def _insert_around(
+        self, where: dict[int, int], anchor: int, before: int, after: int, keep: bool
+    ) -> list[int]:
         """Put ``before`` just ahead of ``anchor`` and ``after`` just behind
-        it, or the other way round when ``keep`` is false."""
+        it, or the other way round when ``keep`` is false; return the marks
+        whose right neighbour changed."""
         if not keep:
             before, after = after, before
-        for marks in self.strands:
-            if anchor in marks:
-                at = marks.index(anchor)
-                marks[at : at + 1] = (before, anchor, after)
-                return
+        s = where[anchor]
+        where[before] = where[after] = s
+        marks = self.strands[s]
+        at = marks.index(anchor)
+        marks[at : at + 1] = (before, anchor, after)
+        touched = [before, anchor, after]
+        if at:
+            touched.append(marks[at - 1])
+        return touched
 
     # -- full normalization -------------------------------------------------
 
@@ -228,15 +261,106 @@ class _Scratch:
             return
         if not self.is_acyclic():
             raise CyclicDiagram("cyclic")
+        uo: list[set[int]] = [set() for _ in self.strands]
+        for s, i in slots:
+            uo[s].add(self.strands[s][i])
+        self._glide_loop(self.strand_of(), uo, max_iters, rng)
+
+    def renormalize(self, touched: list[int], max_iters: int) -> None:
+        """:meth:`normalize` for a state that was reduced OU before the marks
+        in ``touched`` got a new right neighbour: only the adjacencies to
+        their right can hold a pattern or a UO slot."""
+        where = self.strand_of()
+        uo: list[set[int]] = [set() for _ in self.strands]
+        self._settle(where, uo, set(touched))
+        if not any(uo):
+            return
+        if not self.is_acyclic():
+            raise CyclicDiagram("cyclic")
+        self._glide_loop(where, uo, max_iters, None)
+
+    def _glide_loop(
+        self,
+        where: dict[int, int],
+        uo: list[set[int]],
+        max_iters: int,
+        rng: random.Random | None,
+    ) -> None:
+        """Glide at the first UO slot in (strand, position) order, or at a
+        random one, and settle the marks the glide touched, until no slot is
+        left.  ``uo[s]`` holds the under marks of strand ``s`` that an over
+        mark follows; the state is R1/R2-reduced on entry."""
+        strands = self.strands
         glides = 0
-        while slots:
+        while True:
+            if rng is None:
+                for s, marks in enumerate(uo):
+                    if marks:
+                        break
+                else:
+                    return
+                i = min(map(strands[s].index, marks))
+            else:
+                pool = [(s, mk) for s, marks in enumerate(uo) for mk in marks]
+                if not pool:
+                    return
+                s, mk = rng.choice(pool)
+                i = strands[s].index(mk)
             if glides >= max_iters:
                 raise CapExceeded(f"no OU form after {max_iters} glide moves")
-            s, i = slots[0] if rng is None else rng.choice(slots)
-            self.glide(s, i)
             glides += 1
-            self.r12_fixpoint()
-            slots = self.uo_slots()
+            self._settle(where, uo, set(self.glide(s, i, where)))
+
+    def _settle(self, where: dict[int, int], uo: list[set[int]], dirty: set[int]) -> None:
+        """Recheck the adjacency to the right of each dirty mark: remove an
+        R1 or R2 pattern found there, marking the left neighbours of the
+        removed marks dirty in turn, and add or drop the mark's UO slot."""
+        strands, signs = self.strands, self.signs
+        while dirty:
+            x = dirty.pop()
+            s = where.get(x)
+            if s is None:  # removed after it was marked
+                continue
+            lst = strands[s]
+            i = lst.index(x) + 1
+            if i == len(lst):
+                uo[s].discard(x)
+                continue
+            y = lst[i]
+            a, b = x >> 1, y >> 1
+            if a == b:
+                self._drop((a,), where, uo, dirty)
+            elif (x ^ y) & 1:  # one over and one under mark
+                if y & 1:
+                    uo[s].add(x)
+            else:
+                uo[s].discard(x)
+                if signs[a] == -signs[b] and self._adjacent(x ^ 1, y ^ 1, where):
+                    self._drop((a, b), where, uo, dirty)
+
+    def _adjacent(self, p: int, q: int, where: dict[int, int]) -> bool:
+        """Marks ``p`` and ``q`` are neighbours, in either order."""
+        if where[p] != where[q]:
+            return False
+        lst = self.strands[where[p]]
+        k = lst.index(p)
+        return lst[k + 1 : k + 2] == [q] or (k > 0 and lst[k - 1] == q)
+
+    def _drop(
+        self, cids: tuple[int, ...], where: dict[int, int], uo: list[set[int]], dirty: set[int]
+    ) -> None:
+        """Remove the crossings ``cids``; the left neighbour of each removed
+        mark becomes dirty."""
+        for cid in cids:
+            del self.signs[cid]
+            for mk in ((cid << 1) | 1, cid << 1):
+                s = where.pop(mk)
+                lst = self.strands[s]
+                k = lst.index(mk)
+                del lst[k]
+                uo[s].discard(mk)
+                if k:
+                    dirty.add(lst[k - 1])
 
     # -- export --------------------------------------------------------------
 
@@ -268,8 +392,14 @@ class OuAccumulator:
         return dup
 
     def push(self, i: int, j: int, sign: int) -> None:
-        self._scratch.append_crossing(i, j, sign)
-        self._scratch.normalize(self.max_iters)
+        """Multiply by the generator ``s(i,j)^sign`` on the right.
+
+        Only the two new tail adjacencies are checked before gliding, since
+        every push leaves a reduced OU state.  After a push that raised,
+        the state is not reduced and the accumulator must not be reused.
+        """
+        touched = self._scratch.append_crossing(i, j, sign)
+        self._scratch.renormalize(touched, self.max_iters)
 
     def crossing_count(self) -> int:
         return self._scratch.crossing_count()
@@ -345,7 +475,7 @@ def glide_once(d: Diagram, iv: UoInterval) -> Diagram:
     scratch = _Scratch.from_diagram(d)
     for s, i in scratch.uo_slots():
         if _interval(scratch.strands, s, i) == iv:
-            scratch.glide(s, i)
+            scratch.glide(s, i, scratch.strand_of())
             return scratch.to_diagram()
     raise InvalidDiagram("not an under-then-over interval of this diagram")
 

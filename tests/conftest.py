@@ -21,13 +21,11 @@ def tab(tmp_path_factory):
     reps_dir = tmp_path_factory.mktemp("representatives")
     cache: dict[tuple, ou.TabulationReport] = {}
 
-    def get(n: int, m: int, kind: str, workers: int = 1) -> ou.TabulationReport:
+    def get(n: int, m: int, kind: str) -> ou.TabulationReport:
         key = (n, m, kind)
         if key not in cache:
             path = reps_dir / f"{kind}-{n}-{m}.txt"
-            cache[key] = ou.tabulate(
-                n, m, kind, workers=workers, representatives_path=str(path)
-            )
+            cache[key] = ou.tabulate(n, m, kind, representatives_path=str(path))
         return cache[key]
 
     return get

@@ -2,15 +2,21 @@
 
 Everything here recomputes results from first principles (brute force,
 exhaustive path enumeration, literal substitution rules) without touching
-the library's rewriting engine, so agreement is a real cross-check.
+the library's rewriting engine, so agreement is a real cross-check.  It also
+runs the CLI in child processes, for tests that check that output bytes do
+not depend on the process.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import outangles
 from outangles import (
     BraidGenerator,
     Crossing,
@@ -232,6 +238,30 @@ def is_bipartite_undirected(graph) -> bool:
     return True
 
 
+def random_gauss(rng: random.Random, n: int, c: int) -> Diagram:
+    """A random Gauss diagram with ``c`` crossings on ``n`` strands, with
+    rational keys and its crossings in random order."""
+    per_strand: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    for cid in range(c):
+        for over in (True, False):
+            per_strand[rng.randrange(n)].append((cid, over))
+    keys: dict[tuple[int, bool], tuple[int, Fraction]] = {}
+    eos = []
+    k = Fraction(rng.randrange(-3, 3))
+    for a, marks in enumerate(per_strand, start=1):
+        rng.shuffle(marks)
+        for mark in marks:
+            k += Fraction(rng.randrange(1, 4), rng.randrange(1, 4))
+            keys[mark] = (a, k)
+        k += Fraction(1, rng.randrange(1, 3))
+        eos.append(k)
+    crossings = [
+        Crossing(rng.choice((1, -1)), keys[(cid, True)], keys[(cid, False)]) for cid in range(c)
+    ]
+    rng.shuffle(crossings)
+    return Diagram(n, tuple(crossings), tuple(eos))
+
+
 def random_vpb_word(rng: random.Random, n: int, length: int) -> VirtualBraidWord:
     letters = []
     for _ in range(length):
@@ -241,3 +271,38 @@ def random_vpb_word(rng: random.Random, n: int, length: int) -> VirtualBraidWord
             j = rng.randrange(1, n + 1)
         letters.append(BraidGenerator(i, j, rng.choice((1, -1))))
     return VirtualBraidWord(n, tuple(letters))
+
+
+# string hashes, and so the iteration order of sets of strings, differ between these
+HASH_SEEDS = ("0", "1", "31337")
+
+
+def run_cli(argv: list[str], hash_seed: str) -> subprocess.CompletedProcess:
+    """``python -m outangles.cli *argv`` in a child process whose
+    ``PYTHONHASHSEED`` is ``hash_seed``.
+
+    The child imports the same package as this process, whether it is
+    installed or found through ``PYTHONPATH``, from any working directory; a
+    glide cap set in the caller's shell must not change what it emits.
+    """
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(outangles.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "OU_MAX_ITERS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run(
+        [sys.executable, "-m", "outangles.cli", *argv], capture_output=True, env=env
+    )
+
+
+def tabulate_in_children(tmp_dir, n: int, m: int, kind: str) -> set[tuple[bytes, bytes]]:
+    """Run ``outangles tabulate`` once per seed in :data:`HASH_SEEDS` and
+    return the distinct ``(stdout, representatives file)`` byte pairs."""
+    runs = set()
+    for seed in HASH_SEEDS:
+        path = os.path.join(tmp_dir, f"representatives-{seed}.txt")
+        argv = ["tabulate", "--kind", kind, "-n", str(n), "-m", str(m), "--representatives", path]
+        proc = run_cli(argv, seed)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        with open(path, "rb") as fh:
+            runs.add((proc.stdout, fh.read()))
+    return runs

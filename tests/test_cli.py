@@ -1,4 +1,5 @@
 import pytest
+from helpers import HASH_SEEDS, run_cli, tabulate_in_children
 
 import outangles as ou
 from outangles import enumeration
@@ -111,25 +112,9 @@ def test_eg_accepts_classical_words(capsys):
 
 def test_eg_dot_bytes_identical_across_processes():
     # guard against anything hash-seed dependent leaking into emissions
-    import os
-    import subprocess
-    import sys
-
-    # The children import the same package as this process, whether it is
-    # installed or found through PYTHONPATH, from any working directory; a
-    # glide cap set in the caller's shell must not change what they emit.
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ou.__file__)))
-    base_env = {k: v for k, v in os.environ.items() if k != "OU_MAX_ITERS"}
-    base_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (package_root, base_env.get("PYTHONPATH")))
-    )
-
-    cmd = [sys.executable, "-m", "outangles.cli", "eg", "--dot", "vpb 3: s1,2 s1,3 s2,3"]
     runs = set()
-    for seed in ("0", "1", "31337"):
-        proc = subprocess.run(
-            cmd, capture_output=True, env=dict(base_env, PYTHONHASHSEED=seed)
-        )
+    for seed in HASH_SEEDS:
+        proc = run_cli(["eg", "--dot", "vpb 3: s1,2 s1,3 s2,3"], seed)
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         assert proc.stderr == b""
         runs.add(proc.stdout)
@@ -148,11 +133,14 @@ def test_tabulate_command_desk_scale(capsys):
     assert out.rstrip().splitlines()[-1] == "3 4 virtual 15156"
 
 
-def test_tabulate_workers_same_bytes(capsys):
-    assert main(["tabulate", "--kind", "classical", "-n", "3", "-m", "3"]) == 0
-    one = capsys.readouterr().out
-    assert main(["tabulate", "--kind", "classical", "-n", "3", "-m", "3", "--workers", "4"]) == 0
-    assert capsys.readouterr().out == one
+def test_tabulate_workers_same_bytes(tmp_path, capsys):
+    # stdout and representatives bytes do not depend on the process, and so
+    # on the hash seed, that computes them
+    path = tmp_path / "here.txt"
+    argv = ["tabulate", "--kind", "classical", "-n", "3", "-m", "4"]
+    assert main(argv + ["--representatives", str(path)]) == 0
+    expect = (capsys.readouterr().out.encode("ascii"), path.read_bytes())
+    assert tabulate_in_children(tmp_path, 3, 4, "classical") == {expect}
 
 
 def test_unwritable_representatives_path_fails_before_tabulating(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 
 import pytest
-from helpers import word_is_proud
+from helpers import tabulate_in_children, word_is_proud
 
 import outangles as ou
 from outangles import BraidGenerator
@@ -112,10 +112,12 @@ def test_tabulate_monotone_cumulative():
     )
 
 
-def test_tabulate_worker_independence_small():
-    one = ou.tabulate(3, 2, "virtual", workers=1)
-    two = ou.tabulate(3, 2, "virtual", workers=2)
-    assert one.count_exactly == two.count_exactly
+def test_tabulate_worker_independence_small(tmp_path):
+    # the representatives bytes do not depend on the process's hash seed
+    path = tmp_path / "here.txt"
+    ou.tabulate(3, 2, "virtual", representatives_path=path)
+    runs = tabulate_in_children(tmp_path, 3, 2, "virtual")
+    assert {reps for _, reps in runs} == {path.read_bytes()}
 
 
 def test_tabulate_mirror_symmetry():

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_vpb_word
+from helpers import random_gauss, random_vpb_word
 
 import outangles as ou
 from outangles import ClassicalBraidWord, Crossing, Diagram
@@ -31,30 +31,6 @@ GOLDEN_SHA256 = {
     "peel": "3f3298de870d6915b0d089fd703b31ab60c08b263b47fb2e3c8e71c67af5d023",
     "extraction_graphs": "2e8f96a555a2033c7da101458f7b2534ff754838deabfe78553d40b5fe09f6e9",
 }
-
-
-def _random_gauss(rng: random.Random, n: int, c: int) -> Diagram:
-    """A random Gauss diagram with ``c`` crossings on ``n`` strands, with
-    rational keys and its crossings in random order."""
-    per_strand: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-    for cid in range(c):
-        for over in (True, False):
-            per_strand[rng.randrange(n)].append((cid, over))
-    keys: dict[tuple[int, bool], tuple[int, Fraction]] = {}
-    eos = []
-    k = Fraction(rng.randrange(-3, 3))
-    for a, marks in enumerate(per_strand, start=1):
-        rng.shuffle(marks)
-        for mark in marks:
-            k += Fraction(rng.randrange(1, 4), rng.randrange(1, 4))
-            keys[mark] = (a, k)
-        k += Fraction(1, rng.randrange(1, 3))
-        eos.append(k)
-    crossings = [
-        Crossing(rng.choice((1, -1)), keys[(cid, True)], keys[(cid, False)]) for cid in range(c)
-    ]
-    rng.shuffle(crossings)
-    return Diagram(n, tuple(crossings), tuple(eos))
 
 
 def _scramble(rng: random.Random, d: Diagram) -> Diagram:
@@ -85,7 +61,7 @@ def _corpus() -> list[tuple[Diagram, ou.VirtualBraidWord | None]]:
         word = random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(0, 7))
         cases.append((_scramble(rng, ou.iota(word)), word))
     for _ in range(40):
-        cases.append((_random_gauss(rng, rng.randrange(1, 4), rng.randrange(0, 5)), None))
+        cases.append((random_gauss(rng, rng.randrange(1, 4), rng.randrange(0, 5)), None))
     return cases
 
 

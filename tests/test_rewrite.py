@@ -5,12 +5,13 @@ from helpers import (
     oracle_glide,
     oracle_is_acyclic,
     oracle_is_ou,
+    random_gauss,
     random_vpb_word,
     twist_word,
 )
 
 import outangles as ou
-from outangles import Crossing, Diagram
+from outangles import ClassicalBraidWord, Crossing, Diagram
 
 
 def _glide_example_input() -> Diagram:
@@ -243,3 +244,67 @@ def test_growth_bound_smoke():
         g = rng.choice(gens)
         grown = ou.xi(ou.compose(ou.generator_diagram(3, g), T))
         assert grown <= 3 * ou.xi(T) + 1
+
+
+def _reference_normal_form(d: Diagram) -> tuple[Diagram, int]:
+    """The normal form by the public full-scan steps, and its glide count:
+    reduce, then glide at the first under-then-over interval, repeated."""
+    d = ou.reduce_r12(d)
+    if ou.uo_intervals(d) and not ou.is_acyclic(d):
+        raise ou.CyclicDiagram("cyclic")
+    glides = 0
+    while intervals := ou.uo_intervals(d):
+        d = ou.reduce_r12(ou.glide_once(d, intervals[0]))
+        glides += 1
+    return d, glides
+
+
+def _classical_diagram(n: int, letters: tuple[int, ...]) -> Diagram:
+    return ou.iota(ou.classical_to_vpb(ClassicalBraidWord(n, letters))[0])
+
+
+def test_glide_counts_of_long_classical_words():
+    # the first under-then-over interval in strand then position order is
+    # fixed at each step; any other order costs these words far more glides
+    for letters, xi, glides in (((1, 2) * 30, 89, 3057), ((2, 1) * 30, 89, 2967)):
+        d = _classical_diagram(3, letters)
+        assert ou.xi(d, max_iters=glides) == xi
+        with pytest.raises(ou.CapExceeded):
+            ou.xi(d, max_iters=glides - 1)
+
+
+def test_normal_form_matches_full_scan_reference():
+    rng = random.Random(53)
+    cases = [ou.iota(random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(0, 9))) for _ in range(40)]
+    for _ in range(30):
+        n = rng.randrange(2, 5)
+        letters = [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randrange(0, 12))]
+        cases.append(_classical_diagram(n, tuple(letters)))
+    cases += [random_gauss(rng, rng.randrange(1, 4), rng.randrange(0, 7)) for _ in range(80)]
+    cyclic = 0
+    for d in cases:
+        try:
+            expect, glides = _reference_normal_form(d)
+        except ou.CyclicDiagram:
+            cyclic += 1
+            with pytest.raises(ou.CyclicDiagram):
+                ou.ou_normal_form(d)
+            continue
+        assert ou.ou_normal_form(d) == expect
+        assert ou.ou_normal_form(d, max_iters=glides) == expect
+        if glides:
+            with pytest.raises(ou.CapExceeded):
+                ou.ou_normal_form(d, max_iters=glides - 1)
+    assert 0 < cyclic < len(cases) // 2
+
+
+def test_accumulator_matches_whole_word_normal_form():
+    rng = random.Random(59)
+    for _ in range(60):
+        n = rng.randrange(2, 5)
+        word = random_vpb_word(rng, n, rng.randrange(0, 12))
+        acc = ou.OuAccumulator(n)
+        for g in word.letters:
+            acc.push(g.i, g.j, g.sign)
+            assert ou.is_ou(acc.to_diagram()) and ou.is_reduced(acc.to_diagram())
+        assert acc.canonical_text() == ou.serialize(ou.ch(word))
