@@ -24,6 +24,9 @@ from .rewrite import DEFAULT_MAX_ITERS, ou_normal_form
 
 Permutation = tuple[int, ...]  # image array: position -> strand occupying it
 
+# the most strands a parsed word may name: a diagram holds one entry per strand
+MAX_STRANDS = 1000
+
 
 @dataclass(frozen=True)
 class BraidGenerator:
@@ -167,6 +170,13 @@ def classical_braids_equal(b1: ClassicalBraidWord, b2: ClassicalBraidWord) -> bo
     return classical_key(b1) == classical_key(b2)
 
 
+def _parse_strand_count(digits: str) -> int:
+    n = _parse_int(digits)
+    if not 1 <= n <= MAX_STRANDS:
+        raise ParseError(f"strand count {n} is outside 1..{MAX_STRANDS}")
+    return n
+
+
 _VPB_TOKEN = re.compile(r"^s(\d+),(\d+)('?)$")
 
 
@@ -175,7 +185,7 @@ def parse_vpb(text: str) -> VirtualBraidWord:
     m = re.match(r"^\s*vpb\s+(\d+)\s*:\s*(.*?)\s*$", text, re.S)
     if not m:
         raise ParseError("expected 'vpb <n>: <tokens>'")
-    n = _parse_int(m.group(1))
+    n = _parse_strand_count(m.group(1))
     letters = []
     for idx, tok in enumerate(m.group(2).split()):
         tm = _VPB_TOKEN.match(tok)
@@ -199,7 +209,7 @@ def parse_classical(text: str) -> ClassicalBraidWord:
     m = re.match(r"^\s*br\s+(\d+)\s*:\s*(.*?)\s*$", text, re.S)
     if not m:
         raise ParseError("expected 'br <n>: <letters>'")
-    n = _parse_int(m.group(1))
+    n = _parse_strand_count(m.group(1))
     letters = []
     for idx, tok in enumerate(m.group(2).split()):
         try:

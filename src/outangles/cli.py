@@ -9,6 +9,7 @@ or input-syntax errors.  All output is byte-deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
@@ -153,13 +154,14 @@ def _run(args: argparse.Namespace, max_iters: int) -> int:
 
     if args.command == "eg":
         tangle = _load_tangle(args.input, max_iters)
-        graph = division.extraction_graph(tangle, max_iters)
-        text = division.to_dot(graph) if args.dot else division.to_edge_lines(graph)
+        # open the output first, so an unwritable path fails before the graph is built
         if args.output is None:
-            sys.stdout.write(text)
+            out = contextlib.nullcontext(sys.stdout)
         else:
-            with open(args.output, "w", encoding="ascii") as fh:
-                fh.write(text)
+            out = open(args.output, "w", encoding="ascii")
+        with out as fh:
+            graph = division.extraction_graph(tangle, max_iters)
+            fh.write(division.to_dot(graph) if args.dot else division.to_edge_lines(graph))
         return 0
 
     if args.command == "tabulate":

@@ -1,23 +1,26 @@
 """Rewriting of virtual tangle diagrams to reduced over-then-under form.
 
-The pipeline: remove every available kink (R1) and cancelling pair (R2);
-check once that the diagram has no closed cascade path; then repeatedly fix
-the first under-then-over interval with a glide move.  For cascade-acyclic
-diagrams this terminates in the unique reduced OU representative of the
-diagram's equivalence class, independently of the order in which patterns
-are removed and intervals are fixed.
+The pipeline: remove every kink (R1) and cancelling pair (R2); check once
+that the diagram has no closed cascade path; then repeatedly fix the first
+under-then-over interval with a glide move.  For cascade-acyclic diagrams
+this terminates in the unique reduced OU representative of the diagram's
+equivalence class, independently of the order in which patterns are
+removed and intervals are fixed.
 
-Because the order does not matter, only the first search for patterns and
-intervals scans the whole diagram.  A glide or a removal changes a few
-adjacencies, and each mark whose right neighbour changed is rechecked
-against that neighbour: the mark left of the swapped pair and the pair
-itself, the marks around each of the two insertions, and the left
-neighbour of each removed mark.  An R1 is an adjacent pair of one
-crossing; an R2 is an adjacent pair of over marks (or of under marks) of
-opposite signs whose partner marks are adjacent too, in either order; and
-the mark joins or leaves the set of under-then-over slots.  Appending a
-crossing to a reduced OU state (the braid accumulator) rechecks only the
-two old tail marks.
+One settle loop finds every pattern and every under-then-over slot, by
+rechecking each dirty mark against its right neighbour.  An R1 is an
+adjacent pair of one crossing; an R2 is an adjacent pair of over marks (or
+of under marks) of opposite signs whose partner marks are adjacent too, in
+either order; an under mark followed by an over mark is a slot.  Normalizing
+a diagram starts with every mark dirty.  Later only the marks whose right
+neighbour changed are dirty: after a glide, the mark left of the swapped
+pair, the pair itself and the marks around each of its two insertions;
+after a removal, the left neighbour of each removed mark; after a crossing
+is appended to a reduced OU state (the braid accumulator), the two old tail
+marks.  R1/R2 removal terminates, and overlapping patterns (an R1 inside an
+R2, two R2s sharing a crossing) leave the same signed marks in the same
+places, so by Newman's lemma its fixpoint does not depend on the order of
+removal.
 
 A glide replaces the two crossings ``a = X_{s1}[i1, j1]`` and
 ``b = X_{s2}[i2, j2]`` around a under-then-over interval ``(j1, i2)`` with::
@@ -34,6 +37,7 @@ followed by tidying.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import Diagram, _assemble, _canonical_text, _strand_sequences
@@ -99,59 +103,7 @@ class _Scratch:
         under.append(cid << 1)
         return touched
 
-    # -- pattern scans ----------------------------------------------------
-
-    def _find_r12(self) -> tuple[tuple[int, int], int, tuple[int, ...]] | None:
-        """Least removable pattern, keyed by its smallest participating mark.
-
-        Returns ``(mark, kind, cids)`` with kind 0 for R1 and 1 for R2, or
-        ``None`` at the fixpoint.  One sweep over adjacent mark pairs finds
-        everything: an R1 is an adjacent pair of one crossing, and an R2's
-        four marks are exactly its two adjacency sites.
-        """
-        signs = self.signs
-        best: tuple[tuple[int, int], int, tuple[int, ...]] | None = None
-        over_adj: dict[tuple[int, int], tuple[int, int]] = {}
-        under_adj: dict[tuple[int, int], tuple[int, int]] = {}
-        for s, lst in enumerate(self.strands):
-            for i in range(len(lst) - 1):
-                x, y = lst[i], lst[i + 1]
-                a, b = x >> 1, y >> 1
-                if a == b:
-                    cand = ((s, i), 0, (a,))
-                    if best is None or cand < best:
-                        best = cand
-                elif signs[a] == -signs[b]:
-                    if (x & 1) and (y & 1):
-                        over_adj[(a, b) if a < b else (b, a)] = (s, i)
-                    elif not (x & 1) and not (y & 1):
-                        under_adj[(a, b) if a < b else (b, a)] = (s, i)
-        if over_adj and under_adj:
-            for pair, spot in over_adj.items():
-                other = under_adj.get(pair)
-                if other is not None:
-                    cand = (min(spot, other), 1, pair)
-                    if best is None or cand < best:
-                        best = cand
-        return best
-
-    def _remove(self, cids: tuple[int, ...]) -> None:
-        dead = set(cids)
-        for s, lst in enumerate(self.strands):
-            if any((mk >> 1) in dead for mk in lst):
-                self.strands[s] = [mk for mk in lst if (mk >> 1) not in dead]
-        for cid in dead:
-            del self.signs[cid]
-
-    def r12_fixpoint(self) -> None:
-        while True:
-            found = self._find_r12()
-            if found is None:
-                return
-            self._remove(found[2])
-
-    def is_reduced(self) -> bool:
-        return self._find_r12() is None
+    # -- full scans ---------------------------------------------------------
 
     def uo_slots(self) -> list[tuple[int, int]]:
         out = []
@@ -252,32 +204,29 @@ class _Scratch:
             touched.append(marks[at - 1])
         return touched
 
-    # -- full normalization -------------------------------------------------
+    # -- normalization --------------------------------------------------------
 
-    def normalize(self, max_iters: int = DEFAULT_MAX_ITERS, rng: random.Random | None = None) -> None:
-        self.r12_fixpoint()
-        slots = self.uo_slots()
-        if not slots:
-            return
-        if not self.is_acyclic():
-            raise CyclicDiagram("cyclic")
-        uo: list[set[int]] = [set() for _ in self.strands]
-        for s, i in slots:
-            uo[s].add(self.strands[s][i])
-        self._glide_loop(self.strand_of(), uo, max_iters, rng)
+    def marks(self) -> list[int]:
+        return [mk for lst in self.strands for mk in lst]
 
-    def renormalize(self, touched: list[int], max_iters: int) -> None:
-        """:meth:`normalize` for a state that was reduced OU before the marks
-        in ``touched`` got a new right neighbour: only the adjacencies to
-        their right can hold a pattern or a UO slot."""
+    def reduce(self, dirty: Iterable[int]) -> tuple[dict[int, int], list[set[int]]]:
+        """Settle the ``dirty`` marks (every mark, or those whose right
+        neighbour changed since the state was reduced OU); return the strand
+        lookup and the UO slot sets that :meth:`_glide_loop` keeps current."""
         where = self.strand_of()
         uo: list[set[int]] = [set() for _ in self.strands]
-        self._settle(where, uo, set(touched))
+        self._settle(where, uo, set(dirty))
+        return where, uo
+
+    def normalize(self, dirty: Iterable[int], max_iters: int, rng: random.Random | None = None) -> None:
+        """Bring the state to its reduced OU form; ``dirty`` is as for
+        :meth:`reduce`."""
+        where, uo = self.reduce(dirty)
         if not any(uo):
             return
         if not self.is_acyclic():
             raise CyclicDiagram("cyclic")
-        self._glide_loop(where, uo, max_iters, None)
+        self._glide_loop(where, uo, max_iters, rng)
 
     def _glide_loop(
         self,
@@ -399,7 +348,7 @@ class OuAccumulator:
         the state is not reduced and the accumulator must not be reused.
         """
         touched = self._scratch.append_crossing(i, j, sign)
-        self._scratch.renormalize(touched, self.max_iters)
+        self._scratch.normalize(touched, self.max_iters)
 
     def crossing_count(self) -> int:
         return self._scratch.crossing_count()
@@ -438,7 +387,9 @@ def cascade_graph(d: Diagram) -> tuple[list[tuple[int, int, bool]], list[tuple[i
 
 def is_reduced(d: Diagram) -> bool:
     """True iff no R1 kink and no R2 cancelling pair is present."""
-    return _Scratch.from_diagram(d).is_reduced()
+    scratch = _Scratch.from_diagram(d)
+    scratch.reduce(scratch.marks())
+    return scratch.crossing_count() == len(d.crossings)
 
 
 def uo_intervals(d: Diagram) -> list[UoInterval]:
@@ -454,11 +405,12 @@ def _interval(strands: list[list[int]], s: int, i: int) -> UoInterval:
 def reduce_r12(d: Diagram) -> Diagram:
     """Remove R1 and R2 patterns until none remain; result is tidied.
 
-    Deterministic: at each step the pattern whose smallest participating
-    mark comes first is removed.
+    Removal runs to a fixpoint that does not depend on the order in which
+    patterns are removed: overlapping patterns leave the same signed marks
+    in the same places, so the tidied result is unique.
     """
     scratch = _Scratch.from_diagram(d)
-    scratch.r12_fixpoint()
+    scratch.reduce(scratch.marks())
     return scratch.to_diagram()
 
 
@@ -487,7 +439,7 @@ def ou_normal_form(
 ) -> Diagram:
     """The unique reduced OU representative of an acyclic diagram.
 
-    Alternates R1/R2 fixpoints with single glide moves.  With ``rng`` the
+    Alternates R1/R2 removal with single glide moves.  With ``rng`` the
     interval fixed at each step is chosen at random instead of first in mark
     order; the result does not depend on that choice.
 
@@ -495,12 +447,12 @@ def ou_normal_form(
     and :class:`CapExceeded` after ``max_iters`` glides.
     """
     scratch = _Scratch.from_diagram(d)
-    scratch.normalize(max_iters, rng)
+    scratch.normalize(scratch.marks(), max_iters, rng)
     return scratch.to_diagram()
 
 
 def xi(d: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> int:
     """Crossing number of the reduced OU form of ``d``."""
     scratch = _Scratch.from_diagram(d)
-    scratch.normalize(max_iters)
+    scratch.normalize(scratch.marks(), max_iters)
     return scratch.crossing_count()

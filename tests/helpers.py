@@ -138,6 +138,40 @@ def oracle_glide(d: Diagram, iv: UoInterval) -> Diagram:
     return Diagram(d.n, tuple(rest), d.eos_keys)
 
 
+def oracle_reduce_r12(d: Diagram) -> Diagram:
+    """Remove R1 and R2 patterns until none remain, least pattern first
+    (untidied).
+
+    Patterns are read off the keys: marks of one strand are adjacent when
+    no other key of that strand lies between them.  An R1 is a crossing
+    whose two marks are adjacent; an R2 is two crossings of opposite signs
+    whose over marks are adjacent and whose under marks are adjacent.  A
+    pattern's place is its first mark in (strand, key) order, and an R1
+    goes before an R2 at the same place.
+    """
+    crossings = list(d.crossings)
+    while True:
+        nxt: dict[tuple[int, object], tuple[int, object]] = {}
+        for a in range(1, d.n + 1):
+            keys = sorted(
+                {c.over[1] for c in crossings if c.over[0] == a}
+                | {c.under[1] for c in crossings if c.under[0] == a}
+            )
+            nxt.update(((a, k), (a, m)) for k, m in zip(keys, keys[1:]))
+
+        def adjacent(p, q):
+            return nxt.get(p) == q or nxt.get(q) == p
+
+        patterns = [(min(c.over, c.under), 0, (c,)) for c in crossings if adjacent(c.over, c.under)]
+        for c, e in itertools.combinations(crossings, 2):
+            if c.sign == -e.sign and adjacent(c.over, e.over) and adjacent(c.under, e.under):
+                patterns.append((min(c.over, c.under, e.over, e.under), 1, (c, e)))
+        if not patterns:
+            return Diagram(d.n, tuple(crossings), d.eos_keys)
+        _, _, dead = min(patterns, key=lambda p: p[:2])
+        crossings = [c for c in crossings if c not in dead]
+
+
 def word_is_proud(word, kind: str) -> bool:
     """Two-letter pride predicate applied along the word."""
     for g, h in zip(word, word[1:]):

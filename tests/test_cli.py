@@ -2,7 +2,7 @@ import pytest
 from helpers import HASH_SEEDS, run_cli, tabulate_in_children
 
 import outangles as ou
-from outangles import enumeration
+from outangles import division, enumeration
 from outangles.cli import main
 
 SCR_LONG = "vpb 3: s2,1' s1,3 s3,1 s1,3 s3,1 s1,3 s2,3 s2,1"
@@ -153,6 +153,15 @@ def test_unwritable_representatives_path_fails_before_tabulating(monkeypatch, ca
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_unwritable_eg_output_fails_before_building_graph(monkeypatch, capsys):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("the graph was built before the output file was opened")
+
+    monkeypatch.setattr(division, "extraction_graph", no_graph)
+    assert main(["eg", "-o", "/nonexistent/dir/x", "vpb 3: s1,2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_worst_command(capsys):
     assert main(["worst", "--kind", "virtual", "-n", "2", "-m", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -213,6 +222,8 @@ def test_missing_file_is_usage_error(capsys):
         (["tabulate", "--kind", "virtual", "-n", "2", "-m", "2", "--max-keys", "-5"], None, None),
         (["tabulate", "--kind", "virtual", "-n", "2", "-m", "2", "--max-keys", "0"], None, None),
         (["normalize"], None, "vd \u00b2\neos 1\n"),
+        (["ch", "vpb 0:"], None, None),
+        (["ch", "vpb 100000000:"], None, None),
     ],
     ids=[
         "tabulate-n1",
@@ -226,6 +237,8 @@ def test_missing_file_is_usage_error(capsys):
         "max-keys-negative",
         "max-keys-zero",
         "non-ascii-file",
+        "zero-strands",
+        "too-many-strands",
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ from helpers import (
     oracle_glide,
     oracle_is_acyclic,
     oracle_is_ou,
+    oracle_reduce_r12,
     random_gauss,
     random_vpb_word,
     twist_word,
@@ -247,14 +248,15 @@ def test_growth_bound_smoke():
 
 
 def _reference_normal_form(d: Diagram) -> tuple[Diagram, int]:
-    """The normal form by the public full-scan steps, and its glide count:
-    reduce, then glide at the first under-then-over interval, repeated."""
-    d = ou.reduce_r12(d)
+    """The normal form by the oracle's R1/R2 removal and the public
+    full-scan steps, and its glide count: reduce, then glide at the first
+    under-then-over interval, repeated."""
+    d = ou.tidy(oracle_reduce_r12(d))
     if ou.uo_intervals(d) and not ou.is_acyclic(d):
         raise ou.CyclicDiagram("cyclic")
     glides = 0
     while intervals := ou.uo_intervals(d):
-        d = ou.reduce_r12(ou.glide_once(d, intervals[0]))
+        d = ou.tidy(oracle_reduce_r12(ou.glide_once(d, intervals[0])))
         glides += 1
     return d, glides
 
@@ -300,11 +302,63 @@ def test_normal_form_matches_full_scan_reference():
 
 def test_accumulator_matches_whole_word_normal_form():
     rng = random.Random(59)
-    for _ in range(60):
-        n = rng.randrange(2, 5)
-        word = random_vpb_word(rng, n, rng.randrange(0, 12))
-        acc = ou.OuAccumulator(n)
+    words = [random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(0, 12)) for _ in range(60)]
+    for _ in range(30):
+        n = rng.randrange(2, 6)
+        letters = [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randrange(0, 16))]
+        words.append(ou.classical_to_vpb(ClassicalBraidWord(n, tuple(letters)))[0])
+    for word in words:
+        acc = ou.OuAccumulator(word.n)
         for g in word.letters:
             acc.push(g.i, g.j, g.sign)
-            assert ou.is_ou(acc.to_diagram()) and ou.is_reduced(acc.to_diagram())
+            d = acc.to_diagram()
+            assert ou.is_ou(d) and ou.is_reduced(d) and ou.is_acyclic(d)
         assert acc.canonical_text() == ou.serialize(ou.ch(word))
+
+
+def _overlap_chains() -> list[Diagram]:
+    """Hand-built diagrams whose R1 and R2 patterns overlap."""
+
+    def on_strands(n, signs, strands):
+        # strands list (crossing, is_over) marks in order; keys count up
+        keys, eos, k = {}, [], 0
+        for a, marks in enumerate(strands, start=1):
+            for mark in marks:
+                k += 1
+                keys[mark] = (a, k)
+            k += 1
+            eos.append(k)
+        crossings = tuple(Crossing(sg, keys[(c, True)], keys[(c, False)]) for c, sg in enumerate(signs))
+        return Diagram(n, crossings, tuple(eos))
+
+    out = []
+    for k in range(1, 7):
+        alternating = [(-1) ** c for c in range(k)]
+        overs = [(c, True) for c in range(k)]
+        unders = [(c, False) for c in range(k)]
+        # R2(c, c+1) for every c: each middle crossing is in two R2s
+        out.append(on_strands(2, alternating, [overs, unders]))
+        out.append(on_strands(2, alternating, [overs, unders[::-1]]))
+        out.append(on_strands(1, alternating, [overs + unders[::-1]]))
+        # nested kinks: the innermost is an R1 inside every enclosing R2
+        out.append(on_strands(1, [1] * k, [overs[::-1] + unders]))
+        out.append(on_strands(1, alternating, [overs[::-1] + unders]))
+        # an R1 between the two halves of an R2 on another strand
+        out.append(on_strands(2, alternating, [overs[:1] + unders[:1] + overs[1:], unders[1:]]))
+    return out
+
+
+def test_reduce_r12_matches_oracle():
+    rng = random.Random(61)
+    cases = _overlap_chains()
+    cases += [random_gauss(rng, rng.randrange(1, 4), rng.randrange(0, 9)) for _ in range(200)]
+    for _ in range(150):
+        w = random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(0, 6))
+        cases.append(ou.iota(w * w.inverse()))
+    reduced = 0
+    for d in cases:
+        expect = oracle_reduce_r12(d)
+        assert ou.reduce_r12(d) == ou.tidy(expect)
+        assert ou.is_reduced(d) == (len(expect.crossings) == len(d.crossings))
+        reduced += ou.is_reduced(d)
+    assert 0 < reduced < len(cases) // 2
