@@ -119,7 +119,10 @@ def iota(w: VirtualBraidWord) -> Diagram:
 def ch(w: VirtualBraidWord, max_iters: int = DEFAULT_MAX_ITERS) -> Diagram:
     """Reduced OU form of the word's diagram; a complete invariant.
 
-    Never raises :class:`CyclicDiagram`: braid diagrams are acyclic.
+    Never raises :class:`CyclicDiagram`: braid diagrams are acyclic.  Give
+    each mark the index of its letter; a strand step raises the index, a drop
+    from an over mark to its under mark keeps it, and two drops never follow
+    each other, so no cascade path comes back to where it started.
     """
     return ou_normal_form(iota(w), max_iters)
 

@@ -40,10 +40,15 @@ def _divisor_quotients(
 ) -> list[tuple[BraidGenerator, Diagram]]:
     """All ``(g, quotient)`` pairs over the ``2n(n-1)`` generators, in
     generator order.  ``T`` must already be reduced OU and tidied."""
+    # A generator whose under strand j carries no mark never divides: its
+    # inverse puts u' alone on strand j and o' at the head of strand i, which
+    # makes no slot (o' is over, u' has no successor), no R1 (different
+    # strands) and no R2 (u' has no neighbour), so all c + 1 crossings stay.
+    crossed = {strand for c in T.crossings for strand in (c.over[0], c.under[0])}
     return [
         (g, q)
         for g in vpb_generators(T.n)
-        if (q := _quotient_or_none(T, g, max_iters)) is not None
+        if g.j in crossed and (q := _quotient_or_none(T, g, max_iters)) is not None
     ]
 
 

@@ -1,11 +1,13 @@
 """Rewriting of virtual tangle diagrams to reduced over-then-under form.
 
-The pipeline: remove every kink (R1) and cancelling pair (R2); check once
-that the diagram has no closed cascade path; then repeatedly fix the first
+The pipeline: remove every kink (R1) and cancelling pair (R2); if an
+under-then-over interval is left in a diagram that comes in from outside,
+check once that it has no closed cascade path; then repeatedly fix the first
 under-then-over interval with a glide move.  For cascade-acyclic diagrams
 this terminates in the unique reduced OU representative of the diagram's
 equivalence class, independently of the order in which patterns are
-removed and intervals are fixed.
+removed and intervals are fixed.  States the engine built itself (the braid
+accumulator's) are acyclic by construction and are not checked.
 
 One settle loop finds every pattern and every under-then-over slot, by
 rechecking each dirty mark against its right neighbour.  An R1 is an
@@ -156,18 +158,15 @@ class _Scratch:
     def glide(self, s: int, i: int, where: dict[int, int]) -> list[int]:
         """Fix the under-then-over interval at marks ``i``, ``i + 1`` of
         strand ``s`` (0-based), keeping the strand lookup ``where`` current.
+        The marks belong to different crossings: :func:`glide_once` checks
+        that, and :meth:`_settle` removes a same-crossing pair as an R1.
 
         Returns the marks whose right neighbour changed: those around the
         swapped pair and around each anchor insertion.
         """
         lst = self.strands[s]
         x, y = lst[i], lst[i + 1]
-        a, b = x >> 1, y >> 1
-        if a == b:
-            raise SameCrossing(
-                "under and over marks of the interval belong to one crossing"
-            )
-        s1, s2 = self.signs[a], self.signs[b]
+        s1, s2 = self.signs[x >> 1], self.signs[y >> 1]
         c_new = self._next
         self._next += 2
         self.signs[c_new] = s1 * s2
@@ -218,22 +217,8 @@ class _Scratch:
         self._settle(where, uo, set(dirty))
         return where, uo
 
-    def normalize(self, dirty: Iterable[int], max_iters: int, rng: random.Random | None = None) -> None:
-        """Bring the state to its reduced OU form; ``dirty`` is as for
-        :meth:`reduce`."""
-        where, uo = self.reduce(dirty)
-        if not any(uo):
-            return
-        if not self.is_acyclic():
-            raise CyclicDiagram("cyclic")
-        self._glide_loop(where, uo, max_iters, rng)
-
     def _glide_loop(
-        self,
-        where: dict[int, int],
-        uo: list[set[int]],
-        max_iters: int,
-        rng: random.Random | None,
+        self, where: dict[int, int], uo: list[set[int]], max_iters: int, rng: random.Random | None = None
     ) -> None:
         """Glide at the first UO slot in (strand, position) order, or at a
         random one, and settle the marks the glide touched, until no slot is
@@ -344,11 +329,18 @@ class OuAccumulator:
         """Multiply by the generator ``s(i,j)^sign`` on the right.
 
         Only the two new tail adjacencies are checked before gliding, since
-        every push leaves a reduced OU state.  After a push that raised,
-        the state is not reduced and the accumulator must not be reused.
+        every push leaves a reduced OU state.  No cascade check is run: the
+        state before the push is reduced OU, and on an OU strand a cascade
+        path that has dropped once meets only under marks, so it cannot
+        close.  The appended over mark drops only to the appended under
+        mark, the last on its strand, so no closed path runs through the new
+        crossing either; glides and R1/R2 removal keep acyclicity.  After a
+        push that raised, the state is not reduced and the accumulator must
+        not be reused.
         """
-        touched = self._scratch.append_crossing(i, j, sign)
-        self._scratch.normalize(touched, self.max_iters)
+        scratch = self._scratch
+        where, uo = scratch.reduce(scratch.append_crossing(i, j, sign))
+        scratch._glide_loop(where, uo, self.max_iters)
 
     def crossing_count(self) -> int:
         return self._scratch.crossing_count()
@@ -421,9 +413,7 @@ def glide_once(d: Diagram, iv: UoInterval) -> Diagram:
     single crossing, where the move is undefined.
     """
     if iv.under_crossing == iv.over_crossing:
-        raise SameCrossing(
-            "under and over marks of the interval belong to one crossing"
-        )
+        raise SameCrossing("under and over marks of the interval belong to one crossing")
     scratch = _Scratch.from_diagram(d)
     for s, i in scratch.uo_slots():
         if _interval(scratch.strands, s, i) == iv:
@@ -446,13 +436,20 @@ def ou_normal_form(
     Raises :class:`CyclicDiagram` for diagrams with a closed cascade path
     and :class:`CapExceeded` after ``max_iters`` glides.
     """
-    scratch = _Scratch.from_diagram(d)
-    scratch.normalize(scratch.marks(), max_iters, rng)
-    return scratch.to_diagram()
+    return _normalized(d, max_iters, rng).to_diagram()
 
 
 def xi(d: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> int:
     """Crossing number of the reduced OU form of ``d``."""
+    return _normalized(d, max_iters).crossing_count()
+
+
+def _normalized(d: Diagram, max_iters: int, rng: random.Random | None = None) -> _Scratch:
+    """The reduced OU form of ``d`` as a scratch state: settle every mark,
+    check for a closed cascade path if a slot is left, then glide."""
     scratch = _Scratch.from_diagram(d)
-    scratch.normalize(scratch.marks(), max_iters)
-    return scratch.crossing_count()
+    where, uo = scratch.reduce(scratch.marks())
+    if any(uo) and not scratch.is_acyclic():
+        raise CyclicDiagram("cyclic")
+    scratch._glide_loop(where, uo, max_iters, rng)
+    return scratch

@@ -231,3 +231,72 @@ def test_division_dichotomy_smoke():
         for g in gens:
             cand = ou.ou_normal_form(ou.compose(ou.generator_diagram(3, g), T))
             assert ou.crossing_number(cand) != base
+
+
+def _brute_quotients(T):
+    """Every generator's quotient that lowers the crossing number, found by
+    normalizing the inverse stacked before ``T`` for all generators."""
+    out = []
+    for g in ou.vpb_generators(T.n):
+        q = ou.ou_normal_form(ou.compose(ou.generator_diagram(T.n, g.inverse()), T))
+        if ou.crossing_number(q) < ou.crossing_number(T):
+            out.append((g, q))
+    return out
+
+
+def _brute_graph(T):
+    source = ou.canonical_key(T)
+    nodes = {source: (T, ou.crossing_number(T))}
+    edges, frontier = [], [T]
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for g, q in _brute_quotients(d):
+                qkey = ou.canonical_key(q)
+                if qkey not in nodes:
+                    nodes[qkey] = (q, ou.crossing_number(q))
+                    nxt.append(q)
+                edges.append((ou.canonical_key(d), g, qkey))
+        frontier = nxt
+    (sink,) = set(nodes) - {src for src, _, _ in edges}
+    return ou.ExtractionGraph(nodes, tuple(edges), source, sink)
+
+
+def test_division_matches_brute_force_with_crossing_free_strands():
+    rng = random.Random(83)
+    skipped = 0
+    for _ in range(14):
+        n = rng.randrange(3, 9)
+        active = rng.sample(range(1, n + 1), rng.randrange(2, n + 1))
+        letters = []
+        for _ in range(rng.randrange(1, 5)):
+            i, j = rng.sample(active, 2)
+            letters.append(BraidGenerator(i, j, rng.choice((1, -1))))
+        T = ou.ch(ou.VirtualBraidWord(n, tuple(letters)))
+        crossed = {strand for c in T.crossings for strand in (c.over[0], c.under[0])}
+        if T.crossings and len(crossed) < n:
+            skipped += 1
+        brute = _brute_quotients(T)
+        assert ou.divisors(T) == [g for g, _ in brute]
+        letters, core = [], T
+        while pairs := _brute_quotients(core):
+            g, core = pairs[0]
+            letters.append(g)
+        assert ou.peel(T) == (ou.VirtualBraidWord(n, tuple(letters)), core)
+        assert ou.to_edge_lines(ou.extraction_graph(T)) == ou.to_edge_lines(_brute_graph(T))
+    assert skipped >= 8
+
+
+def test_divisors_skip_generators_onto_crossing_free_strands(monkeypatch):
+    calls = []
+    inner = ou.division._quotient_or_none
+
+    def counting(T, g, max_iters):
+        calls.append(g)
+        return inner(T, g, max_iters)
+
+    monkeypatch.setattr(ou.division, "_quotient_or_none", counting)
+    w, _ = ou.classical_to_vpb(ou.parse_classical("br 30: 1 3"))
+    ou.divisors(ou.ch(w))
+    # the under strand of each tried generator is one of the 4 crossed strands
+    assert len(calls) == 4 * 29 * 2

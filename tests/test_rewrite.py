@@ -316,6 +316,24 @@ def test_accumulator_matches_whole_word_normal_form():
         assert acc.canonical_text() == ou.serialize(ou.ch(word))
 
 
+def test_accumulator_pushes_run_no_cascade_check(monkeypatch):
+    # pushes keep a reduced OU state, which is acyclic by construction
+    word, _ = ou.classical_to_vpb(ClassicalBraidWord(3, (1, 2) * 30))
+    expect = ou.serialize(ou.ch(word))
+
+    def refuse(self):
+        raise AssertionError("cascade check on a state the engine built")
+
+    monkeypatch.setattr(ou.rewrite._Scratch, "is_acyclic", refuse)
+    assert ou.tabulate(3, 5, "classical").count_exactly == (1, 4, 12, 30, 68, 148)
+    assert ou.tabulate(3, 3, "virtual").count_exactly == (1, 12, 132, 1416)
+    assert ou.worst_braid(3, 4, "classical") == (ClassicalBraidWord(3, (-1, 2, -1, 2)), 20)
+    acc = ou.OuAccumulator(3)
+    for g in word.letters:
+        acc.push(g.i, g.j, g.sign)
+    assert acc.canonical_text() == expect
+
+
 def _overlap_chains() -> list[Diagram]:
     """Hand-built diagrams whose R1 and R2 patterns overlap."""
 
