@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Diagram, _assemble, _parse_int, canonical_key, compose, identity_diagram
+from .diagram import Diagram, _assemble, _mark, _parse_int, canonical_key, compose, identity_diagram
 from .errors import ParseError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, ou_normal_form
 
@@ -103,9 +103,9 @@ class ClassicalBraidWord:
 def generator_diagram(n: int, g: BraidGenerator) -> Diagram:
     """The one-crossing diagram of a generator, tidied."""
     strands: list[list[int]] = [[] for _ in range(n)]
-    strands[g.i - 1].append(1)
-    strands[g.j - 1].append(0)
-    return _assemble(n, (g.sign,), strands)
+    strands[g.i - 1].append(_mark(0, True, g.sign))
+    strands[g.j - 1].append(_mark(0, False, g.sign))
+    return _assemble(strands)
 
 
 def iota(w: VirtualBraidWord) -> Diagram:

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidDiagram, ParseError, StrandCountMismatch
 
 Key = int | Fraction
-Signs = Sequence[int] | Mapping[int, int]  # crossing id -> sign
 
 
 def _check_key(value: Key, what: str) -> None:
@@ -106,14 +104,22 @@ def crossing_number(d: Diagram) -> int:
     return len(d.crossings)
 
 
+def _mark(cid: int, over: bool, sign: int) -> int:
+    """The integer mark of one pass of crossing ``cid``, as the rewriting
+    engine stores it: ``4 * cid + 2 * over + (sign > 0)``.  So ``mark >> 2``
+    is the crossing id, bit 1 tells the over pass from the under pass (a
+    pass's partner is ``mark ^ 2``), and bit 0, carried by both passes, is
+    set for a positive crossing."""
+    return (cid << 2) | (over << 1) | (sign > 0)
+
+
 def _strand_sequences(d: Diagram) -> list[list[int]]:
-    """Per-strand marks in key order.  A mark is the integer ``2 * cid + 1``
-    for the over pass of ``d.crossings[cid]`` and ``2 * cid`` for its under
-    pass, the encoding the rewriting engine works on."""
+    """Per-strand marks (see :func:`_mark`) in key order, with
+    ``d.crossings[cid]`` as crossing ``cid``."""
     buckets: list[list[tuple[Key, int]]] = [[] for _ in range(d.n)]
     for cid, c in enumerate(d.crossings):
-        buckets[c.over[0] - 1].append((c.over[1], (cid << 1) | 1))
-        buckets[c.under[0] - 1].append((c.under[1], cid << 1))
+        buckets[c.over[0] - 1].append((c.over[1], _mark(cid, True, c.sign)))
+        buckets[c.under[0] - 1].append((c.under[1], _mark(cid, False, c.sign)))
     return [[mk for _, mk in sorted(bucket)] for bucket in buckets]
 
 
@@ -134,15 +140,14 @@ def _tidy_keys(strands: list[list[int]]) -> tuple[dict[int, tuple[int, int]], li
     return where, eos
 
 
-def _assemble(n: int, signs: Signs, strands: list[list[int]]) -> Diagram:
-    """Build the tidied diagram with the given per-strand mark orders;
-    ``signs[cid]`` is the sign of the crossing with marks ``2 * cid + 1``
-    and ``2 * cid``."""
+def _assemble(strands: list[list[int]]) -> Diagram:
+    """Build the tidied diagram with the given per-strand orders of marks
+    (see :func:`_mark`), one list per strand."""
     where, eos = _tidy_keys(strands)
     # a list, not a generator: tuple() of a generator allocates by guess and
     # resizes, which raised the peak memory of large extraction graphs
-    crossings = [Crossing(signs[mk >> 1], at, where[mk ^ 1]) for mk, at in where.items() if mk & 1]
-    return Diagram(n, tuple(crossings), tuple(eos))
+    crossings = [Crossing(1 if mk & 1 else -1, at, where[mk ^ 2]) for mk, at in where.items() if mk & 2]
+    return Diagram(len(strands), tuple(crossings), tuple(eos))
 
 
 def tidy(d: Diagram) -> Diagram:
@@ -152,7 +157,7 @@ def tidy(d: Diagram) -> Diagram:
     under-strand) data.  Idempotent; always returns a new diagram with
     integer keys, equal to ``d`` when ``d`` is already tidy.
     """
-    return _assemble(d.n, [c.sign for c in d.crossings], _strand_sequences(d))
+    return _assemble(_strand_sequences(d))
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
@@ -164,28 +169,27 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """
     if d1.n != d2.n:
         raise StrandCountMismatch(f"cannot compose diagrams on {d1.n} and {d2.n} strands")
-    offset = 2 * len(d1.crossings)
+    offset = 4 * len(d1.crossings)  # renumbers d2's crossings after d1's
     seq2 = _strand_sequences(d2)
     merged = [seq + [mk + offset for mk in seq2[a]] for a, seq in enumerate(_strand_sequences(d1))]
-    signs = [c.sign for c in d1.crossings] + [c.sign for c in d2.crossings]
-    return _assemble(d1.n, signs, merged)
+    return _assemble(merged)
 
 
-def _canonical_text(n: int, signs: Signs, strands: list[list[int]]) -> str:
-    """Canonical text of the tidied diagram with the given per-strand mark
-    orders (``signs`` as for :func:`_assemble`)."""
+def _canonical_text(strands: list[list[int]]) -> str:
+    """Canonical text of the tidied diagram with the given per-strand
+    orders of marks (see :func:`_mark`)."""
     where, eos = _tidy_keys(strands)
-    lines = [f"vd {n}"]
+    lines = [f"vd {len(strands)}"]
     for mk, (_, o) in where.items():
-        if mk & 1:
-            lines.append(f"x {'+' if signs[mk >> 1] > 0 else '-'} {o} {where[mk ^ 1][1]}")
+        if mk & 2:
+            lines.append(f"x {'+' if mk & 1 else '-'} {o} {where[mk ^ 2][1]}")
     lines.append("eos " + " ".join(map(str, eos)))
     return "\n".join(lines) + "\n"
 
 
 def serialize(d: Diagram) -> str:
     """Canonical text form of ``d`` (the diagram is tidied first)."""
-    return _canonical_text(d.n, [c.sign for c in d.crossings], _strand_sequences(d))
+    return _canonical_text(_strand_sequences(d))
 
 
 def canonical_key(d: Diagram) -> bytes:

@@ -40,15 +40,18 @@ def _divisor_quotients(
 ) -> list[tuple[BraidGenerator, Diagram]]:
     """All ``(g, quotient)`` pairs over the ``2n(n-1)`` generators, in
     generator order.  ``T`` must already be reduced OU and tidied."""
-    # A generator whose under strand j carries no mark never divides: its
-    # inverse puts u' alone on strand j and o' at the head of strand i, which
-    # makes no slot (o' is over, u' has no successor), no R1 (different
-    # strands) and no R2 (u' has no neighbour), so all c + 1 crossings stay.
+    # A generator onto a strand k of T with no mark (k = g.i or g.j) never
+    # divides.  Delete strand k's crossings from each diagram in the rewriting
+    # of g-inverse stacked before T: each step maps to the same diagram, the
+    # same R1/R2 removal or glide, or an inserted R2 pair (from a glide at a
+    # slot on k whose two new crossings miss k).  The deleted start is T, so
+    # by confluence the deleted end, which is OU, has normal form T, and T
+    # has at most its crossings: xi(g-inverse T) >= c.
     crossed = {strand for c in T.crossings for strand in (c.over[0], c.under[0])}
     return [
         (g, q)
         for g in vpb_generators(T.n)
-        if g.j in crossed and (q := _quotient_or_none(T, g, max_iters)) is not None
+        if g.i in crossed and g.j in crossed and (q := _quotient_or_none(T, g, max_iters)) is not None
     ]
 
 

@@ -42,7 +42,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .diagram import Diagram, _assemble, _canonical_text, _strand_sequences
+from .diagram import Diagram, _assemble, _canonical_text, _mark, _strand_sequences
 from .errors import CapExceeded, CyclicDiagram, InvalidDiagram, SameCrossing
 
 DEFAULT_MAX_ITERS = 1 << 24
@@ -63,46 +63,42 @@ class UoInterval:
 class _Scratch:
     """Mutable working copy of a diagram used by the rewriting loop.
 
-    ``strands[s]`` lists the marks of strand ``s`` in order; a mark is the
-    integer ``cid * 2 + 1`` for the over mark of crossing ``cid`` and
-    ``cid * 2`` for its under mark.  Only the order matters, so all moves
-    are list surgery.
+    ``strands[s]`` lists the marks of strand ``s`` in order, each mark
+    carrying its crossing id, pass and sign as :func:`diagram._mark` lays
+    out; ``_next`` is the next unused crossing id.  Only the order matters,
+    so all moves are list surgery.
     """
 
-    __slots__ = ("n", "signs", "strands", "_next")
+    __slots__ = ("strands", "_next")
 
-    def __init__(self, n: int, signs: dict[int, int], strands: list[list[int]], nxt: int):
-        self.n = n
-        self.signs = signs
+    def __init__(self, strands: list[list[int]], nxt: int):
         self.strands = strands
         self._next = nxt
 
     @classmethod
     def from_diagram(cls, d: Diagram) -> "_Scratch":
-        signs = {cid: c.sign for cid, c in enumerate(d.crossings)}
-        return cls(d.n, signs, _strand_sequences(d), len(d.crossings))
+        return cls(_strand_sequences(d), len(d.crossings))
 
     @classmethod
     def identity(cls, n: int) -> "_Scratch":
-        return cls(n, {}, [[] for _ in range(n)], 0)
+        return cls([[] for _ in range(n)], 0)
 
     def copy(self) -> "_Scratch":
-        return _Scratch(self.n, dict(self.signs), [list(s) for s in self.strands], self._next)
+        return _Scratch([list(s) for s in self.strands], self._next)
 
     def crossing_count(self) -> int:
-        return len(self.signs)
+        return sum(map(len, self.strands)) >> 1
 
     def append_crossing(self, i: int, j: int, sign: int) -> list[int]:
         """Add one crossing at the tails of strands ``i`` and ``j`` (1-based);
         return the marks whose right neighbour changed."""
-        cid = self._next
+        mk = _mark(self._next, True, sign)
         self._next += 1
-        self.signs[cid] = sign
         over, under = self.strands[i - 1], self.strands[j - 1]
         touched = over[-1:]
-        over.append((cid << 1) | 1)
+        over.append(mk)
         touched += under[-1:]
-        under.append(cid << 1)
+        under.append(mk ^ 2)
         return touched
 
     # -- full scans ---------------------------------------------------------
@@ -111,7 +107,7 @@ class _Scratch:
         out = []
         for s, lst in enumerate(self.strands):
             for i in range(len(lst) - 1):
-                if not (lst[i] & 1) and (lst[i + 1] & 1):
+                if not lst[i] & 2 and lst[i + 1] & 2:
                     out.append((s, i))
         return out
 
@@ -127,7 +123,7 @@ class _Scratch:
             marks.extend(lst)
             edges.extend((v, v + 1) for v in range(start, len(marks) - 1))
         index = {mk: v for v, mk in enumerate(marks)}
-        edges.extend((index[(cid << 1) | 1], index[cid << 1]) for cid in sorted(self.signs))
+        edges.extend((index[mk], index[mk ^ 2]) for mk in sorted(m for m in marks if m & 2))
         return marks, edges
 
     def is_acyclic(self) -> bool:
@@ -166,11 +162,10 @@ class _Scratch:
         """
         lst = self.strands[s]
         x, y = lst[i], lst[i + 1]
-        s1, s2 = self.signs[x >> 1], self.signs[y >> 1]
-        c_new = self._next
+        sign = -1 if (x ^ y) & 1 else 1  # s1 * s2
+        over1 = _mark(self._next, True, sign)
+        over2 = _mark(self._next + 1, True, -sign)
         self._next += 2
-        self.signs[c_new] = s1 * s2
-        self.signs[c_new + 1] = -s1 * s2
 
         # b's over mark slides back to the old under slot, a's under mark
         # slides forward to the old over slot: the interval becomes OU
@@ -178,15 +173,13 @@ class _Scratch:
         touched = [y, x] if i == 0 else [lst[i - 1], y, x]
 
         # the new crossings' over marks flank a's over mark and their under
-        # marks flank b's under mark, in the order the signs give
-        c_over = (c_new << 1) | 1
-        c_under = c_new << 1
-        touched += self._insert_around(where, x | 1, c_over, c_over + 2, s1 > 0)
-        touched += self._insert_around(where, y ^ 1, c_under + 2, c_under, s2 > 0)
+        # marks flank b's under mark, in the order the sign bits of x and y give
+        touched += self._insert_around(where, x ^ 2, over1, over2, x & 1)
+        touched += self._insert_around(where, y ^ 2, over2 ^ 2, over1 ^ 2, y & 1)
         return touched
 
     def _insert_around(
-        self, where: dict[int, int], anchor: int, before: int, after: int, keep: bool
+        self, where: dict[int, int], anchor: int, before: int, after: int, keep: int
     ) -> list[int]:
         """Put ``before`` just ahead of ``anchor`` and ``after`` just behind
         it, or the other way round when ``keep`` is false; return the marks
@@ -249,7 +242,7 @@ class _Scratch:
         """Recheck the adjacency to the right of each dirty mark: remove an
         R1 or R2 pattern found there, marking the left neighbours of the
         removed marks dirty in turn, and add or drop the mark's UO slot."""
-        strands, signs = self.strands, self.signs
+        strands = self.strands
         while dirty:
             x = dirty.pop()
             s = where.get(x)
@@ -261,16 +254,15 @@ class _Scratch:
                 uo[s].discard(x)
                 continue
             y = lst[i]
-            a, b = x >> 1, y >> 1
-            if a == b:
-                self._drop((a,), where, uo, dirty)
-            elif (x ^ y) & 1:  # one over and one under mark
-                if y & 1:
+            if x ^ y == 2:  # the two passes of one crossing: an R1
+                self._drop((x,), where, uo, dirty)
+            elif (x ^ y) & 2:  # one over and one under mark
+                if y & 2:
                     uo[s].add(x)
             else:
                 uo[s].discard(x)
-                if signs[a] == -signs[b] and self._adjacent(x ^ 1, y ^ 1, where):
-                    self._drop((a, b), where, uo, dirty)
+                if (x ^ y) & 1 and self._adjacent(x ^ 2, y ^ 2, where):  # opposite signs
+                    self._drop((x, y), where, uo, dirty)
 
     def _adjacent(self, p: int, q: int, where: dict[int, int]) -> bool:
         """Marks ``p`` and ``q`` are neighbours, in either order."""
@@ -281,13 +273,12 @@ class _Scratch:
         return lst[k + 1 : k + 2] == [q] or (k > 0 and lst[k - 1] == q)
 
     def _drop(
-        self, cids: tuple[int, ...], where: dict[int, int], uo: list[set[int]], dirty: set[int]
+        self, marks: tuple[int, ...], where: dict[int, int], uo: list[set[int]], dirty: set[int]
     ) -> None:
-        """Remove the crossings ``cids``; the left neighbour of each removed
-        mark becomes dirty."""
-        for cid in cids:
-            del self.signs[cid]
-            for mk in ((cid << 1) | 1, cid << 1):
+        """Remove the crossings that ``marks`` are passes of; the left
+        neighbour of each removed mark becomes dirty."""
+        for m in marks:
+            for mk in (m, m ^ 2):
                 s = where.pop(mk)
                 lst = self.strands[s]
                 k = lst.index(mk)
@@ -299,10 +290,10 @@ class _Scratch:
     # -- export --------------------------------------------------------------
 
     def canonical_text(self) -> str:
-        return _canonical_text(self.n, self.signs, self.strands)
+        return _canonical_text(self.strands)
 
     def to_diagram(self) -> Diagram:
-        return _assemble(self.n, self.signs, self.strands)
+        return _assemble(self.strands)
 
 
 class OuAccumulator:
@@ -373,7 +364,7 @@ def cascade_graph(d: Diagram) -> tuple[list[tuple[int, int, bool]], list[tuple[i
     """
     scratch = _Scratch.from_diagram(d)
     _, edges = scratch.cascade_edges()
-    nodes = [(s + 1, mk >> 1, bool(mk & 1)) for s, lst in enumerate(scratch.strands) for mk in lst]
+    nodes = [(s + 1, mk >> 2, bool(mk & 2)) for s, lst in enumerate(scratch.strands) for mk in lst]
     return nodes, edges
 
 
@@ -391,7 +382,7 @@ def uo_intervals(d: Diagram) -> list[UoInterval]:
 
 
 def _interval(strands: list[list[int]], s: int, i: int) -> UoInterval:
-    return UoInterval(s + 1, strands[s][i] >> 1, strands[s][i + 1] >> 1)
+    return UoInterval(s + 1, strands[s][i] >> 2, strands[s][i + 1] >> 2)
 
 
 def reduce_r12(d: Diagram) -> Diagram:

@@ -93,6 +93,14 @@ def test_reduce_r12_examples():
         (3, 6),
     )
     assert ou.reduce_r12(r2) == ou.identity_diagram(2)
+    # the same layout with equal signs is no R2: both crossings stay
+    same_signs = Diagram(
+        2,
+        (Crossing(1, (1, 1), (2, 5)), Crossing(1, (1, 2), (2, 4))),
+        (3, 6),
+    )
+    assert ou.reduce_r12(same_signs) == same_signs
+    assert ou.is_reduced(same_signs)
 
 
 def test_reduce_r12_fixpoint_has_no_patterns():
