@@ -6,6 +6,8 @@ diagram is the quotient.  Repeatedly dividing extracts a maximal braid and
 leaves a unique indivisible core, independent of which divisor is taken at
 each step.  Recording every divisor descent from ``T`` gives its extraction
 graph: a finite DAG with one source, one sink, and generator-labelled edges.
+Candidate quotients are rewriting scratch states; only graph nodes and
+returned results are built as ``Diagram`` objects.
 """
 
 from __future__ import annotations
@@ -13,33 +15,41 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .braid import BraidGenerator, VirtualBraidWord, generator_diagram, vpb_generators
-from .diagram import Diagram, canonical_key, compose, crossing_number, key_hash, tidy
+# bench/tracer.py CONSUMERS pins compose, generator_diagram, ou_normal_form and canonical_key here
+from .braid import BraidGenerator, VirtualBraidWord, generator_diagram, vpb_generators  # noqa: F401
+from .diagram import Diagram, canonical_key, compose, key_hash  # noqa: F401
 from .errors import NotADivisor, NotReducedOU, OuError
-from .rewrite import DEFAULT_MAX_ITERS, is_ou, is_reduced, ou_normal_form
+from .rewrite import DEFAULT_MAX_ITERS, _Scratch, is_ou, is_reduced, ou_normal_form  # noqa: F401
 
 
-def _require_reduced_ou(T: Diagram) -> Diagram:
+def _require_reduced_ou(T: Diagram) -> _Scratch:
     if not is_ou(T):
         raise NotReducedOU("diagram is not in over-then-under form")
     if not is_reduced(T):
         raise NotReducedOU("diagram admits an R1 or R2 reduction")
-    return tidy(T)
+    return _Scratch.from_diagram(T)
 
 
-def _quotient_or_none(T: Diagram, g: BraidGenerator, max_iters: int) -> Diagram | None:
+def _quotient_or_none(T: _Scratch, g: BraidGenerator, max_iters: int) -> _Scratch | None:
     """The reduced OU form of ``g``-inverse stacked before ``T`` if it has
-    fewer crossings than ``T``, else ``None``.  ``T`` must already be reduced
-    OU and tidied."""
-    candidate = ou_normal_form(compose(generator_diagram(T.n, g.inverse()), T), max_iters)
-    return candidate if crossing_number(candidate) < crossing_number(T) else None
+    fewer crossings than ``T``, else ``None``.  ``T`` must be reduced OU.
+
+    Works on a copy; only the two prepended marks are settled, and no
+    cascade check is run.  ``T`` is OU, so it has no closed cascade path.
+    The new over mark heads its strand, so no cascade path enters it, and
+    the new under mark is entered only from that over mark.  So a closed
+    path would avoid the new crossing and be a closed path of ``T``; glides
+    and R1/R2 removal keep acyclicity.
+    """
+    q = T.copy()
+    where, uo = q.reduce(q.prepend_crossing(g.i, g.j, -g.sign))
+    q._glide_loop(where, uo, max_iters)
+    return q if q.crossing_count() < T.crossing_count() else None
 
 
-def _divisor_quotients(
-    T: Diagram, max_iters: int
-) -> list[tuple[BraidGenerator, Diagram]]:
+def _divisor_quotients(T: _Scratch, max_iters: int) -> list[tuple[BraidGenerator, _Scratch]]:
     """All ``(g, quotient)`` pairs over the ``2n(n-1)`` generators, in
-    generator order.  ``T`` must already be reduced OU and tidied."""
+    generator order.  ``T`` must be reduced OU."""
     # A generator onto a strand k of T with no mark (k = g.i or g.j) never
     # divides.  Delete strand k's crossings from each diagram in the rewriting
     # of g-inverse stacked before T: each step maps to the same diagram, the
@@ -47,18 +57,17 @@ def _divisor_quotients(
     # slot on k whose two new crossings miss k).  The deleted start is T, so
     # by confluence the deleted end, which is OU, has normal form T, and T
     # has at most its crossings: xi(g-inverse T) >= c.
-    crossed = {strand for c in T.crossings for strand in (c.over[0], c.under[0])}
+    crossed = {s for s, marks in enumerate(T.strands, start=1) if marks}
     return [
         (g, q)
-        for g in vpb_generators(T.n)
+        for g in vpb_generators(len(T.strands))
         if g.i in crossed and g.j in crossed and (q := _quotient_or_none(T, g, max_iters)) is not None
     ]
 
 
 def divisors(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> list[BraidGenerator]:
     """Generators that divide ``T``, in generator order (possibly empty)."""
-    T = _require_reduced_ou(T)
-    return [g for g, _ in _divisor_quotients(T, max_iters)]
+    return [g for g, _ in _divisor_quotients(_require_reduced_ou(T), max_iters)]
 
 
 def quotient(T: Diagram, g: BraidGenerator, max_iters: int = DEFAULT_MAX_ITERS) -> Diagram:
@@ -70,7 +79,7 @@ def quotient(T: Diagram, g: BraidGenerator, max_iters: int = DEFAULT_MAX_ITERS) 
     q = _quotient_or_none(_require_reduced_ou(T), g, max_iters)
     if q is None:
         raise NotADivisor(f"{g.token()} does not lower the crossing number")
-    return q
+    return q.to_diagram()
 
 
 def peel(
@@ -86,12 +95,10 @@ def peel(
     """
     current = _require_reduced_ou(T)
     letters: list[BraidGenerator] = []
-    while True:
-        pairs = _divisor_quotients(current, max_iters)
-        if not pairs:
-            return VirtualBraidWord(T.n, tuple(letters)), current
+    while pairs := _divisor_quotients(current, max_iters):
         g, current = pairs[0] if rng is None else rng.choice(pairs)
         letters.append(g)
+    return VirtualBraidWord(T.n, tuple(letters)), current.to_diagram()
 
 
 @dataclass(frozen=True)
@@ -129,23 +136,24 @@ def extraction_graph(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> Extracti
     divisor sets are effectively memoized per key.
     """
     start = _require_reduced_ou(T)
-    source = canonical_key(start)
-    nodes: dict[bytes, tuple[Diagram, int]] = {source: (start, crossing_number(start))}
+    source = start.canonical_text().encode("ascii")
+    nodes: dict[bytes, tuple[Diagram, int]] = {source: (start.to_diagram(), start.crossing_count())}
     edges: list[tuple[bytes, BraidGenerator, bytes]] = []
-    frontier = [source]
+    sinks: list[bytes] = []  # each node is expanded once, so these are the keys with no out-edge
+    frontier = [(source, start)]
     while frontier:
-        next_frontier: list[bytes] = []
-        for key in frontier:
-            diagram, _ = nodes[key]
-            for g, q in _divisor_quotients(diagram, max_iters):
-                qkey = canonical_key(q)
+        next_frontier: list[tuple[bytes, _Scratch]] = []
+        for key, scratch in frontier:
+            pairs = _divisor_quotients(scratch, max_iters)
+            if not pairs:
+                sinks.append(key)
+            for g, q in pairs:
+                qkey = q.canonical_text().encode("ascii")
                 if qkey not in nodes:
-                    nodes[qkey] = (q, crossing_number(q))
-                    next_frontier.append(qkey)
+                    nodes[qkey] = (q.to_diagram(), q.crossing_count())
+                    next_frontier.append((qkey, q))
                 edges.append((key, g, qkey))
         frontier = next_frontier
-    with_out = {src for src, _, _ in edges}
-    sinks = [k for k in nodes if k not in with_out]
     if len(sinks) != 1:
         raise OuError(f"extraction graph has {len(sinks)} sinks; expected exactly one")
     return ExtractionGraph(nodes, tuple(edges), source, sinks[0])

@@ -7,7 +7,8 @@ under-then-over interval with a glide move.  For cascade-acyclic diagrams
 this terminates in the unique reduced OU representative of the diagram's
 equivalence class, independently of the order in which patterns are
 removed and intervals are fixed.  States the engine built itself (the braid
-accumulator's) are acyclic by construction and are not checked.
+accumulator's, and division's candidate quotients) are acyclic by
+construction and are not checked.
 
 One settle loop finds every pattern and every under-then-over slot, by
 rechecking each dirty mark against its right neighbour.  An R1 is an
@@ -19,10 +20,10 @@ neighbour changed are dirty: after a glide, the mark left of the swapped
 pair, the pair itself and the marks around each of its two insertions;
 after a removal, the left neighbour of each removed mark; after a crossing
 is appended to a reduced OU state (the braid accumulator), the two old tail
-marks.  R1/R2 removal terminates, and overlapping patterns (an R1 inside an
-R2, two R2s sharing a crossing) leave the same signed marks in the same
-places, so by Newman's lemma its fixpoint does not depend on the order of
-removal.
+marks; after one is prepended (a division candidate), the two new marks.
+R1/R2 removal terminates, and overlapping patterns (an R1 inside an R2, two
+R2s sharing a crossing) leave the same signed marks in the same places, so
+by Newman's lemma its fixpoint does not depend on the order of removal.
 
 A glide replaces the two crossings ``a = X_{s1}[i1, j1]`` and
 ``b = X_{s2}[i2, j2]`` around a under-then-over interval ``(j1, i2)`` with::
@@ -100,6 +101,15 @@ class _Scratch:
         touched += under[-1:]
         under.append(mk ^ 2)
         return touched
+
+    def prepend_crossing(self, i: int, j: int, sign: int) -> list[int]:
+        """Add one crossing at the heads of strands ``i`` and ``j`` (1-based);
+        return the marks whose right neighbour changed, the two new ones."""
+        mk = _mark(self._next, True, sign)
+        self._next += 1
+        self.strands[i - 1].insert(0, mk)
+        self.strands[j - 1].insert(0, mk ^ 2)
+        return [mk, mk ^ 2]
 
     # -- full scans ---------------------------------------------------------
 

@@ -300,3 +300,48 @@ def test_divisors_skip_generators_onto_crossing_free_strands(monkeypatch):
     ou.divisors(ou.ch(w))
     # each tried generator runs between two of the 4 crossed strands
     assert len(calls) == 4 * 3 * 2
+
+
+def _half_twist(n):
+    letters = tuple(k for top in range(n - 1, 0, -1) for k in range(1, top + 1))
+    word, _ = ou.classical_to_vpb(ou.ClassicalBraidWord(n, letters))
+    return ou.ch(word)
+
+
+def test_division_builds_diagrams_only_for_nodes(monkeypatch):
+    T = _half_twist(5)
+    built = []
+    inner = ou.diagram.Diagram.__post_init__
+
+    def counting(self):
+        built.append(self)
+        inner(self)
+
+    monkeypatch.setattr(ou.diagram.Diagram, "__post_init__", counting)
+    g = ou.extraction_graph(T)
+    assert g.node_count() == 120 and len(built) <= g.node_count()
+    built.clear()
+    ou.peel(T)
+    assert len(built) <= 2
+    built.clear()
+    ou.divisors(T)
+    assert len(built) <= 1
+
+
+def test_division_runs_no_cascade_check(monkeypatch):
+    # candidate quotients prepend one crossing to a reduced OU state, which
+    # stays acyclic by construction
+    cases = []
+    for T in (ou.ch(ou.parse_vpb(GARSIDE3)), _half_twist(5)):
+        divs = ou.divisors(T)
+        cases.append((T, divs, ou.quotient(T, divs[-1]), ou.peel(T), ou.to_edge_lines(ou.extraction_graph(T))))
+
+    def refuse(self):
+        raise AssertionError("cascade check on a state the engine built")
+
+    monkeypatch.setattr(ou.rewrite._Scratch, "is_acyclic", refuse)
+    for T, divs, q, peeled, lines in cases:
+        assert ou.divisors(T) == divs
+        assert ou.quotient(T, divs[-1]) == q
+        assert ou.peel(T) == peeled
+        assert ou.to_edge_lines(ou.extraction_graph(T)) == lines
