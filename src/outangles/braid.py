@@ -201,10 +201,7 @@ def parse_vpb(text: str) -> VirtualBraidWord:
         if g.i > n or g.j > n:
             raise ParseError(f"token {tok!r} out of range for {n} strands (token {idx + 1})")
         letters.append(g)
-    try:
-        return VirtualBraidWord(n, tuple(letters))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return VirtualBraidWord(n, tuple(letters))
 
 
 def parse_classical(text: str) -> ClassicalBraidWord:

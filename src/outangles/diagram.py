@@ -265,7 +265,7 @@ def parse(text: str) -> Diagram:
         raise ParseError("expected 'vd <n>' header", line, toks[0][1])
     n = _parse_int(toks[1][0], line, toks[1][1])
     if n < 1:
-        raise InvalidDiagram("strand count must be at least 1")
+        raise ParseError("strand count must be at least 1", line, toks[1][1])
 
     x_rows: list[tuple[int, int, Key, Key]] = []  # (line, sign, over key, under key)
     eos: list[Key] | None = None

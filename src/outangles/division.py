@@ -6,8 +6,10 @@ diagram is the quotient.  Repeatedly dividing extracts a maximal braid and
 leaves a unique indivisible core, independent of which divisor is taken at
 each step.  Recording every divisor descent from ``T`` gives its extraction
 graph: a finite DAG with one source, one sink, and generator-labelled edges.
-Candidate quotients are rewriting scratch states; only graph nodes and
-returned results are built as ``Diagram`` objects.
+Candidate quotients and graph nodes are rewriting scratch states: a node is
+stored as its canonical key and ``xi``, and its diagram is
+``parse(key.decode("ascii"))``.  Only returned results (a ``quotient``, the
+``peel`` core) are built as ``Diagram`` objects.
 """
 
 from __future__ import annotations
@@ -105,13 +107,14 @@ def peel(
 class ExtractionGraph:
     """All divisor descents from one reduced OU tangle.
 
-    ``nodes`` maps canonical keys to ``(diagram, xi)``; ``edges`` are
+    ``nodes`` maps canonical keys to ``xi``; a node's diagram is
+    ``parse(key.decode("ascii"))``.  ``edges`` are
     ``(from key, generator, to key)``.  Edges strictly decrease ``xi``, so
     the graph is a DAG with a unique source (the start tangle) and a unique
     sink (the core).
     """
 
-    nodes: dict[bytes, tuple[Diagram, int]] = field(repr=False)
+    nodes: dict[bytes, int] = field(repr=False)
     edges: tuple[tuple[bytes, BraidGenerator, bytes], ...]
     source: bytes
     sink: bytes
@@ -137,7 +140,7 @@ def extraction_graph(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> Extracti
     """
     start = _require_reduced_ou(T)
     source = start.canonical_text().encode("ascii")
-    nodes: dict[bytes, tuple[Diagram, int]] = {source: (start.to_diagram(), start.crossing_count())}
+    nodes: dict[bytes, int] = {source: start.crossing_count()}
     edges: list[tuple[bytes, BraidGenerator, bytes]] = []
     sinks: list[bytes] = []  # each node is expanded once, so these are the keys with no out-edge
     frontier = [(source, start)]
@@ -150,7 +153,7 @@ def extraction_graph(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> Extracti
             for g, q in pairs:
                 qkey = q.canonical_text().encode("ascii")
                 if qkey not in nodes:
-                    nodes[qkey] = (q.to_diagram(), q.crossing_count())
+                    nodes[qkey] = q.crossing_count()
                     next_frontier.append((qkey, q))
                 edges.append((key, g, qkey))
         frontier = next_frontier
@@ -174,7 +177,7 @@ def to_dot(g: ExtractionGraph) -> str:
     keys, index, edges = _ordered(g)
     lines = ["digraph {"]
     for k in keys:
-        lines.append(f'  "k{index[k]}" [label="{g.nodes[k][1]}"];')
+        lines.append(f'  "k{index[k]}" [label="{g.nodes[k]}"];')
     for src, gen, dst in edges:
         label = f"s({gen.i},{gen.j})" + ("" if gen.sign > 0 else "'")
         lines.append(f'  "k{index[src]}" -> "k{index[dst]}" [label="{label}"];')
@@ -186,7 +189,7 @@ def to_edge_lines(g: ExtractionGraph) -> str:
     """Structured export: node table ``<key-hash> <xi>`` then one line per
     edge ``<from-hash> <token> <to-hash>``, in deterministic order."""
     keys, _, edges = _ordered(g)
-    lines = [f"{key_hash(k)} {g.nodes[k][1]}" for k in keys]
+    lines = [f"{key_hash(k)} {g.nodes[k]}" for k in keys]
     for src, gen, dst in edges:
         lines.append(f"{key_hash(src)} {gen.token()} {key_hash(dst)}")
     return "\n".join(lines) + "\n"

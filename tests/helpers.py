@@ -190,6 +190,38 @@ def word_is_proud(word, kind: str) -> bool:
     return True
 
 
+def _poly_add(*terms: tuple[dict[int, int], int, int]) -> dict[int, int]:
+    """Sum of ``c * t**e * p`` over the ``(p, c, e)`` terms, zeros dropped."""
+    out: dict[int, int] = {}
+    for p, c, e in terms:
+        for exp, coef in p.items():
+            out[exp + e] = out.get(exp + e, 0) + c * coef
+    return {exp: coef for exp, coef in out.items() if coef}
+
+
+def burau_matrix(n: int, letters) -> tuple:
+    """Unreduced Burau image of the classical word ``letters`` on ``n``
+    strands, as a hashable tuple of rows of Laurent polynomials (each a
+    sorted tuple of ``(exponent, coefficient)`` pairs).
+
+    Letter ``k`` right-multiplies by the identity with the block
+    ``[[1-t, t], [1, 0]]`` on rows and columns ``k, k+1``, so it updates
+    only columns ``k`` and ``k+1``; letter ``-k`` uses the inverse block
+    ``[[0, 1], [1/t, 1 - 1/t]]``.  Faithful on 3 strands (Magnus-Peluso
+    1969), so there it decides braid equality.
+    """
+    rows = [[{0: 1} if r == c else {} for c in range(n)] for r in range(n)]
+    for letter in letters:
+        a = abs(letter) - 1
+        for row in rows:
+            x, y = row[a], row[a + 1]
+            if letter > 0:
+                row[a], row[a + 1] = _poly_add((x, 1, 0), (x, -1, 1), (y, 1, 0)), _poly_add((x, 1, 1))
+            else:
+                row[a], row[a + 1] = _poly_add((y, 1, -1)), _poly_add((x, 1, 0), (y, 1, 0), (y, -1, -1))
+    return tuple(tuple(tuple(sorted(p.items())) for p in row) for row in rows)
+
+
 def twist_word(k: int) -> VirtualBraidWord:
     """The k-twist two-strand braid."""
     if k % 2 == 0:

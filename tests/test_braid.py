@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import random_vpb_word, twist_word
+from helpers import burau_matrix, random_vpb_word, twist_word, word_is_proud
 
 import outangles as ou
 from outangles import BraidGenerator, ClassicalBraidWord, VirtualBraidWord
@@ -177,3 +178,34 @@ def test_word_parsing_and_formatting():
 def test_twist_words_match_parity_convention():
     assert twist_word(4) == ou.parse_vpb("vpb 2: s1,2 s2,1 s1,2 s2,1")
     assert twist_word(3) == ou.parse_vpb("vpb 2: s2,1 s1,2 s2,1")
+
+
+def _burau_histogram(n: int, m: int) -> tuple[int, ...]:
+    """Distinct Burau images of proud classical words, each counted at the
+    length of its shortest word, for lengths 0..m."""
+    letters = [k for a in range(1, n) for k in (a, -a)]
+    seen: set = set()
+    counts = []
+    for length in range(m + 1):
+        new = 0
+        for w in itertools.product(letters, repeat=length):
+            if word_is_proud(w, "classical") and (image := burau_matrix(n, w)) not in seen:
+                seen.add(image)
+                new += 1
+        counts.append(new)
+    return tuple(counts)
+
+
+def test_burau_images_match_classical_tables(tab):
+    # Burau is faithful on 3 strands, so there its images count braids
+    assert _burau_histogram(3, 7) == tab(3, 9, "classical").count_exactly[:8]
+    assert _burau_histogram(4, 5) == tab(4, 5, "classical").count_exactly
+
+
+def test_conjugate_power_identity_under_both_deciders():
+    # 2 1^k -2 = -1 2^k 1: sigma2 conjugates sigma1 to sigma1^-1 sigma2 sigma1
+    for k in range(7):
+        left = ClassicalBraidWord(3, (2,) + (1,) * k + (-2,))
+        right = ClassicalBraidWord(3, (-1,) + (2,) * k + (1,))
+        assert ou.classical_braids_equal(left, right)
+        assert burau_matrix(3, left.letters) == burau_matrix(3, right.letters)

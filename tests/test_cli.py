@@ -224,6 +224,7 @@ def test_missing_file_is_usage_error(capsys):
         (["normalize"], None, "vd \u00b2\neos 1\n"),
         (["ch", "vpb 0:"], None, None),
         (["ch", "vpb 100000000:"], None, None),
+        (["normalize"], None, "vd 0\neos\n"),
     ],
     ids=[
         "tabulate-n1",
@@ -239,6 +240,7 @@ def test_missing_file_is_usage_error(capsys):
         "non-ascii-file",
         "zero-strands",
         "too-many-strands",
+        "zero-strand-diagram",
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path, monkeypatch, capsys):

@@ -163,6 +163,10 @@ def test_parse_syntax_errors_carry_position():
     with pytest.raises(ou.ParseError) as exc:
         ou.parse("vd \u00b2\neos 1\n")
     assert (exc.value.line, exc.value.column) == (1, 1)
+    # a zero strand count is a syntax error, as in 'vpb 0:' and 'br 0:'
+    with pytest.raises(ou.ParseError) as exc:
+        ou.parse("vd 0\neos\n")
+    assert (exc.value.line, exc.value.column) == (1, 4)
 
 
 def test_parse_semantic_errors():
@@ -170,8 +174,6 @@ def test_parse_semantic_errors():
         ou.parse("vd 2\neos 4 2\n")  # end keys must increase
     with pytest.raises(ou.InvalidDiagram):
         ou.parse("vd 2\nx + 2 3\neos 2 4\n")  # mark collides with end key
-    with pytest.raises(ou.InvalidDiagram):
-        ou.parse("vd 0\neos\n")
 
 
 def test_invalid_diagram_construction():

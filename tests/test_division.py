@@ -142,7 +142,7 @@ def test_extraction_graph_hexagon():
     assert g.node_count() == 6
     assert g.edge_count() == 6
     assert g.out_degree(g.source) == 2
-    assert sorted(xi for _, xi in g.nodes.values()) == [0, 1, 1, 2, 2, 3]
+    assert sorted(g.nodes.values()) == [0, 1, 1, 2, 2, 3]
     assert g.sink == ou.canonical_key(ou.identity_diagram(3))
     assert is_bipartite_undirected(g)
     # the five divisor braids are the distinct proper-and-full path prefixes
@@ -174,7 +174,7 @@ def test_extraction_graph_half_twist_skeletons():
 def test_extraction_graph_edges_decrease_xi():
     g = ou.extraction_graph(roll(4))
     for src, _, dst in g.edges:
-        assert g.nodes[dst][1] < g.nodes[src][1]
+        assert g.nodes[dst] < g.nodes[src]
 
 
 def test_extraction_graph_path_words_all_equal():
@@ -246,7 +246,7 @@ def _brute_quotients(T):
 
 def _brute_graph(T):
     source = ou.canonical_key(T)
-    nodes = {source: (T, ou.crossing_number(T))}
+    nodes = {source: ou.crossing_number(T)}
     edges, frontier = [], [T]
     while frontier:
         nxt = []
@@ -254,7 +254,7 @@ def _brute_graph(T):
             for g, q in _brute_quotients(d):
                 qkey = ou.canonical_key(q)
                 if qkey not in nodes:
-                    nodes[qkey] = (q, ou.crossing_number(q))
+                    nodes[qkey] = ou.crossing_number(q)
                     nxt.append(q)
                 edges.append((ou.canonical_key(d), g, qkey))
         frontier = nxt
@@ -319,13 +319,24 @@ def test_division_builds_diagrams_only_for_nodes(monkeypatch):
 
     monkeypatch.setattr(ou.diagram.Diagram, "__post_init__", counting)
     g = ou.extraction_graph(T)
-    assert g.node_count() == 120 and len(built) <= g.node_count()
+    assert g.node_count() == 120 and not built
     built.clear()
     ou.peel(T)
     assert len(built) <= 2
     built.clear()
     ou.divisors(T)
     assert len(built) <= 1
+
+
+def test_extraction_graph_node_keys_parse_to_their_nodes():
+    # a node is stored as its key and xi; the key's text is its diagram
+    for T in (ou.ch(ou.parse_vpb(GARSIDE3)), _half_twist(5)):
+        g = ou.extraction_graph(T)
+        for k, xi in g.nodes.items():
+            d = ou.parse(k.decode("ascii"))
+            assert ou.canonical_key(d) == k
+            assert ou.crossing_number(d) == xi
+            assert ou.is_ou(d) and ou.is_reduced(d)
 
 
 def test_division_runs_no_cascade_check(monkeypatch):
