@@ -180,12 +180,15 @@ def _parse_strand_count(digits: str) -> int:
     return n
 
 
-_VPB_TOKEN = re.compile(r"^s(\d+),(\d+)('?)$")
+# numerals are ASCII digits only: \d and int() would also take other
+# scripts' digits, and int() underscores between digits
+_VPB_TOKEN = re.compile(r"^s([0-9]+),([0-9]+)('?)$")
+_LETTER = re.compile(r"^[+-]?[0-9]+$")
 
 
 def parse_vpb(text: str) -> VirtualBraidWord:
     """Parse ``vpb <n>: s<i>,<j> s<i>,<j>' ...`` (tokens optional)."""
-    m = re.match(r"^\s*vpb\s+(\d+)\s*:\s*(.*?)\s*$", text, re.S)
+    m = re.match(r"^\s*vpb\s+([0-9]+)\s*:\s*(.*?)\s*$", text, re.S)
     if not m:
         raise ParseError("expected 'vpb <n>: <tokens>'")
     n = _parse_strand_count(m.group(1))
@@ -206,16 +209,15 @@ def parse_vpb(text: str) -> VirtualBraidWord:
 
 def parse_classical(text: str) -> ClassicalBraidWord:
     """Parse ``br <n>: 1 -2 1 ...``."""
-    m = re.match(r"^\s*br\s+(\d+)\s*:\s*(.*?)\s*$", text, re.S)
+    m = re.match(r"^\s*br\s+([0-9]+)\s*:\s*(.*?)\s*$", text, re.S)
     if not m:
         raise ParseError("expected 'br <n>: <letters>'")
     n = _parse_strand_count(m.group(1))
     letters = []
     for idx, tok in enumerate(m.group(2).split()):
-        try:
-            k = int(tok)
-        except ValueError:
-            raise ParseError(f"bad letter {tok!r} (token {idx + 1})") from None
+        if not _LETTER.match(tok):
+            raise ParseError(f"bad letter {tok!r} (token {idx + 1})")
+        k = _parse_int(tok)
         if k == 0 or abs(k) > n - 1:
             raise ParseError(f"letter {tok!r} out of range for {n} strands (token {idx + 1})")
         letters.append(k)

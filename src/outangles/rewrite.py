@@ -10,20 +10,29 @@ removed and intervals are fixed.  States the engine built itself (the braid
 accumulator's, and division's candidate quotients) are acyclic by
 construction and are not checked.
 
-One settle loop finds every pattern and every under-then-over slot, by
-rechecking each dirty mark against its right neighbour.  An R1 is an
-adjacent pair of one crossing; an R2 is an adjacent pair of over marks (or
-of under marks) of opposite signs whose partner marks are adjacent too, in
-either order; an under mark followed by an over mark is a slot.  Normalizing
-a diagram starts with every mark dirty.  Later only the marks whose right
-neighbour changed are dirty: after a glide, the mark left of the swapped
-pair, the pair itself and the marks around each of its two insertions;
-after a removal, the left neighbour of each removed mark; after a crossing
-is appended to a reduced OU state (the braid accumulator), the two old tail
-marks; after one is prepended (a division candidate), the two new marks.
-R1/R2 removal terminates, and overlapping patterns (an R1 inside an R2, two
-R2s sharing a crossing) leave the same signed marks in the same places, so
-by Newman's lemma its fixpoint does not depend on the order of removal.
+One settle loop finds every pattern, and for a diagram that comes in from
+outside every under-then-over slot too, by rechecking each dirty mark
+against its right neighbour.  An R1 is an adjacent pair of one crossing; an
+R2 is an adjacent pair of over marks (or of under marks) of opposite signs
+whose partner marks are adjacent too, in either order; an under mark
+followed by an over mark is a slot.  Normalizing a diagram starts with every
+mark dirty; later only the marks whose right neighbour changed are dirty,
+and after a removal the left neighbour of each removed mark.  R1/R2 removal
+terminates, and overlapping patterns (an R1 inside an R2, two R2s sharing a
+crossing) leave the same signed marks in the same places, so by Newman's
+lemma its fixpoint does not depend on the order of removal.
+
+A crossing added at the ends of a reduced OU state (a braid accumulator's
+push, a division candidate's prepend) runs one glide chain instead.  Its new
+over mark (push) or under mark (prepend) is the only mark out of OU order;
+each glide moves it one step past a mark of the other pass on its strand,
+and the slot beside it is the only one, so the chain keeps no slot sets.
+On the tested tables it passes every such mark, one glide each: a push
+glides once per under mark of its over strand, a prepend once per over mark
+of its under strand.  After each glide the chain settles four marks, the
+left neighbour and the last inserted mark of each of the two insertions;
+:meth:`_Scratch.glide_chain` proves that no other changed adjacency can hold
+a new pattern.
 
 A glide replaces the two crossings ``a = X_{s1}[i1, j1]`` and
 ``b = X_{s2}[i2, j2]`` around a under-then-over interval ``(j1, i2)`` with::
@@ -161,14 +170,16 @@ class _Scratch:
         """The strand index of every mark."""
         return {mk: s for s, lst in enumerate(self.strands) for mk in lst}
 
-    def glide(self, s: int, i: int, where: dict[int, int]) -> list[int]:
+    def glide(self, s: int, i: int, where: dict[int, int], every: bool = True) -> list[int]:
         """Fix the under-then-over interval at marks ``i``, ``i + 1`` of
         strand ``s`` (0-based), keeping the strand lookup ``where`` current.
         The marks belong to different crossings: :func:`glide_once` checks
         that, and :meth:`_settle` removes a same-crossing pair as an R1.
 
         Returns the marks whose right neighbour changed: those around the
-        swapped pair and around each anchor insertion.
+        swapped pair and around each anchor insertion.  With ``every`` false
+        it returns only the four that :meth:`glide_chain` settles: at each
+        insertion, the mark left of it and its last inserted mark.
         """
         lst = self.strands[s]
         x, y = lst[i], lst[i + 1]
@@ -180,20 +191,21 @@ class _Scratch:
         # b's over mark slides back to the old under slot, a's under mark
         # slides forward to the old over slot: the interval becomes OU
         lst[i], lst[i + 1] = y, x
-        touched = [y, x] if i == 0 else [lst[i - 1], y, x]
+        touched = ([y, x] + lst[i - 1 : i]) if every else []
 
         # the new crossings' over marks flank a's over mark and their under
         # marks flank b's under mark, in the order the sign bits of x and y give
-        touched += self._insert_around(where, x ^ 2, over1, over2, x & 1)
-        touched += self._insert_around(where, y ^ 2, over2 ^ 2, over1 ^ 2, y & 1)
+        touched += self._insert_around(where, x ^ 2, over1, over2, x & 1, every)
+        touched += self._insert_around(where, y ^ 2, over2 ^ 2, over1 ^ 2, y & 1, every)
         return touched
 
     def _insert_around(
-        self, where: dict[int, int], anchor: int, before: int, after: int, keep: int
+        self, where: dict[int, int], anchor: int, before: int, after: int, keep: int, every: bool
     ) -> list[int]:
         """Put ``before`` just ahead of ``anchor`` and ``after`` just behind
         it, or the other way round when ``keep`` is false; return the marks
-        whose right neighbour changed."""
+        whose right neighbour changed, or with ``every`` false only the
+        last inserted mark and the mark left of the insertion."""
         if not keep:
             before, after = after, before
         s = where[anchor]
@@ -201,10 +213,85 @@ class _Scratch:
         marks = self.strands[s]
         at = marks.index(anchor)
         marks[at : at + 1] = (before, anchor, after)
-        touched = [before, anchor, after]
+        touched = [before, anchor, after] if every else [after]
         if at:
             touched.append(marks[at - 1])
         return touched
+
+    def glide_chain(self, dirty: list[int], s: int, at: int, max_iters: int) -> None:
+        """Bring a reduced OU state with one crossing just added at its ends
+        back to reduced OU form: settle the ``dirty`` marks, then glide the
+        new crossing's moving mark, index ``at`` of strand ``s`` (negative
+        counts from the end), until it has no slot beside it.
+
+        After a push (:meth:`append_crossing` at strands ``i``, ``j``) the
+        moving mark is the new over mark, and it walks left past strand
+        ``i``'s under marks.  After a prepend (:meth:`prepend_crossing`) it
+        is the new under mark, and it walks right past strand ``j``'s over
+        marks.  Each glide is at the slot beside the moving mark, and it is
+        the only slot of the state, so nothing searches for slots:
+
+        * Before the first glide, every strand but ``s`` is OU, and strand
+          ``s`` is OU but for the moving mark, which can head only a slot
+          with its neighbour on the side it walks to.
+        * A glide swaps that pair, which moves the moving mark one step on.
+          Its new over marks go next to an over mark of the over part of
+          their strand, and its new under marks next to an under mark of
+          the under part of theirs, so every strand keeps its form.
+        * R1/R2 removal deletes marks, which keeps every form too; if it
+          deletes the moving mark, the state is OU.
+
+        After each glide only the four marks :meth:`glide` returns with
+        ``every`` false are settled, and the proof that this finds every new
+        R1 and R2 holds for any glide on a reduced state.  A new pattern has
+        a changed adjacency, and an R2 is found from either of its two
+        adjacencies; so it is enough that none of the seven changed
+        adjacencies left out is a pattern when the glide ends.  (One that a
+        removal turns into a pattern later is found from the partners' new
+        adjacency, whose left mark the removal makes dirty.)  Let the glide
+        turn ``L, x, y, R`` into ``L, y, x, R`` and insert new marks around
+        the anchors ``x ^ 2`` and ``y ^ 2``.  After the insertions each
+        anchor sits between two new marks, and each new mark's partner sits
+        beside the other anchor.
+
+        * ``y, x`` are an over and an under mark of two crossings.
+        * ``L, y``: ``L`` is not the anchor ``y ^ 2``, or a new mark would
+          stand between them, so this is no R1.  An R2 needs the partners
+          ``L ^ 2`` and ``y ^ 2`` adjacent, but the anchor's neighbours are
+          new marks and ``L ^ 2`` is not new.  ``x, R`` is the same with the
+          anchor ``x ^ 2``.
+        * An anchor and a new mark beside it are of one pass, so only an R2
+          can be there.  It needs the new mark's partner, which is beside
+          the other anchor, next to ``x`` (for the anchor ``x ^ 2``) or
+          ``y`` (for ``y ^ 2``).  As ``x`` follows ``y``, that partner would
+          be ``x``'s right neighbour, put there around the anchor ``y ^ 2``,
+          or ``y``'s left one, put there around ``x ^ 2``.  Then ``y, y ^ 2``
+          or ``x ^ 2, x`` were adjacent before the glide: an R1, which the
+          reduced state cannot hold.
+
+        :meth:`_glide_loop` settles all the changed marks, which its slot
+        sets need.
+
+        Raises :class:`CapExceeded` before glide ``max_iters + 1``.
+        """
+        lst = self.strands[s]
+        mover = lst[at]
+        at %= len(lst)
+        step = -1 if mover & 2 else 1
+        where = self.strand_of()
+        self._settle(where, set(dirty))
+        glides = 0
+        while mover in where:
+            if at >= len(lst) or lst[at] != mover:  # removal left of the mover
+                at = lst.index(mover)
+            beside = at + step
+            if not 0 <= beside < len(lst) or not (lst[beside] ^ mover) & 2:
+                return
+            if glides >= max_iters:
+                raise CapExceeded(f"no OU form after {max_iters} glide moves")
+            glides += 1
+            self._settle(where, set(self.glide(s, min(at, beside), where, every=False)))
+            at = beside
 
     # -- normalization --------------------------------------------------------
 
@@ -213,11 +300,11 @@ class _Scratch:
 
     def reduce(self, dirty: Iterable[int]) -> tuple[dict[int, int], list[set[int]]]:
         """Settle the ``dirty`` marks (every mark, or those whose right
-        neighbour changed since the state was reduced OU); return the strand
-        lookup and the UO slot sets that :meth:`_glide_loop` keeps current."""
+        neighbour changed); return the strand lookup and the UO slot sets
+        that :meth:`_glide_loop` keeps current."""
         where = self.strand_of()
         uo: list[set[int]] = [set() for _ in self.strands]
-        self._settle(where, uo, set(dirty))
+        self._settle(where, set(dirty), uo)
         return where, uo
 
     def _glide_loop(
@@ -246,12 +333,13 @@ class _Scratch:
             if glides >= max_iters:
                 raise CapExceeded(f"no OU form after {max_iters} glide moves")
             glides += 1
-            self._settle(where, uo, set(self.glide(s, i, where)))
+            self._settle(where, set(self.glide(s, i, where)), uo)
 
-    def _settle(self, where: dict[int, int], uo: list[set[int]], dirty: set[int]) -> None:
+    def _settle(self, where: dict[int, int], dirty: set[int], uo: list[set[int]] | None = None) -> None:
         """Recheck the adjacency to the right of each dirty mark: remove an
         R1 or R2 pattern found there, marking the left neighbours of the
-        removed marks dirty in turn, and add or drop the mark's UO slot."""
+        removed marks dirty in turn, and, given ``uo``, add or drop the
+        mark's UO slot."""
         strands = self.strands
         while dirty:
             x = dirty.pop()
@@ -261,18 +349,20 @@ class _Scratch:
             lst = strands[s]
             i = lst.index(x) + 1
             if i == len(lst):
-                uo[s].discard(x)
+                if uo is not None:
+                    uo[s].discard(x)
                 continue
             y = lst[i]
             if x ^ y == 2:  # the two passes of one crossing: an R1
-                self._drop((x,), where, uo, dirty)
+                self._drop((x,), where, dirty, uo)
             elif (x ^ y) & 2:  # one over and one under mark
-                if y & 2:
+                if uo is not None and y & 2:
                     uo[s].add(x)
             else:
-                uo[s].discard(x)
+                if uo is not None:
+                    uo[s].discard(x)
                 if (x ^ y) & 1 and self._adjacent(x ^ 2, y ^ 2, where):  # opposite signs
-                    self._drop((x, y), where, uo, dirty)
+                    self._drop((x, y), where, dirty, uo)
 
     def _adjacent(self, p: int, q: int, where: dict[int, int]) -> bool:
         """Marks ``p`` and ``q`` are neighbours, in either order."""
@@ -283,7 +373,7 @@ class _Scratch:
         return lst[k + 1 : k + 2] == [q] or (k > 0 and lst[k - 1] == q)
 
     def _drop(
-        self, marks: tuple[int, ...], where: dict[int, int], uo: list[set[int]], dirty: set[int]
+        self, marks: tuple[int, ...], where: dict[int, int], dirty: set[int], uo: list[set[int]] | None
     ) -> None:
         """Remove the crossings that ``marks`` are passes of; the left
         neighbour of each removed mark becomes dirty."""
@@ -293,7 +383,8 @@ class _Scratch:
                 lst = self.strands[s]
                 k = lst.index(mk)
                 del lst[k]
-                uo[s].discard(mk)
+                if uo is not None:
+                    uo[s].discard(mk)
                 if k:
                     dirty.add(lst[k - 1])
 
@@ -329,8 +420,11 @@ class OuAccumulator:
     def push(self, i: int, j: int, sign: int) -> None:
         """Multiply by the generator ``s(i,j)^sign`` on the right.
 
-        Only the two new tail adjacencies are checked before gliding, since
-        every push leaves a reduced OU state.  No cascade check is run: the
+        One glide chain (:meth:`_Scratch.glide_chain`): the two new tail
+        adjacencies are settled, then the appended over mark walks left past
+        strand ``i``'s under marks, one glide each, and after each glide the
+        four marks around its two insertions are settled.  ``max_iters``
+        caps the chain's glides.  No cascade check is run: the
         state before the push is reduced OU, and on an OU strand a cascade
         path that has dropped once meets only under marks, so it cannot
         close.  The appended over mark drops only to the appended under
@@ -340,8 +434,7 @@ class OuAccumulator:
         not be reused.
         """
         scratch = self._scratch
-        where, uo = scratch.reduce(scratch.append_crossing(i, j, sign))
-        scratch._glide_loop(where, uo, self.max_iters)
+        scratch.glide_chain(scratch.append_crossing(i, j, sign), i - 1, -1, self.max_iters)
 
     def crossing_count(self) -> int:
         return self._scratch.crossing_count()

@@ -173,6 +173,13 @@ def test_word_parsing_and_formatting():
         ou.parse_classical("br 2: 2")
     with pytest.raises(ou.ParseError):
         ou.parse_vpb("s1,2")
+    # numerals are ASCII digits, with no underscores
+    for text in ("br 12: 1_0", "br \u0663: 1", "br 3: \u0661"):
+        with pytest.raises(ou.ParseError):
+            ou.parse_classical(text)
+    for text in ("vpb 3: s\u0661,2", "vpb \u0663: s1,2", "vpb 12: s1_0,2"):
+        with pytest.raises(ou.ParseError):
+            ou.parse_vpb(text)
 
 
 def test_twist_words_match_parity_convention():

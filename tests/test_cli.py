@@ -225,6 +225,9 @@ def test_missing_file_is_usage_error(capsys):
         (["ch", "vpb 0:"], None, None),
         (["ch", "vpb 100000000:"], None, None),
         (["normalize"], None, "vd 0\neos\n"),
+        (["ch", "br 12: 1_0"], None, None),
+        (["ch", "br \u0663: 1"], None, None),
+        (["eq", "vpb 3: s\u0661,2", "vpb 3: s1,2"], None, None),
     ],
     ids=[
         "tabulate-n1",
@@ -241,6 +244,9 @@ def test_missing_file_is_usage_error(capsys):
         "zero-strands",
         "too-many-strands",
         "zero-strand-diagram",
+        "underscore-letter",
+        "non-ascii-strand-count",
+        "non-ascii-generator",
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path, monkeypatch, capsys):

@@ -1,7 +1,13 @@
 import random
 
 import pytest
-from helpers import all_path_words, all_two_crossing_diagrams_two_strands, is_bipartite_undirected, twist_word
+from helpers import (
+    all_path_words,
+    all_two_crossing_diagrams_two_strands,
+    is_bipartite_undirected,
+    random_vpb_word,
+    twist_word,
+)
 
 import outangles as ou
 from outangles import BraidGenerator
@@ -356,3 +362,51 @@ def test_division_runs_no_cascade_check(monkeypatch):
         assert ou.quotient(T, divs[-1]) == q
         assert ou.peel(T) == peeled
         assert ou.to_edge_lines(ou.extraction_graph(T)) == lines
+
+
+def test_quotient_glides_once_per_over_mark_of_its_under_strand(monkeypatch):
+    # a candidate quotient's glide chain walks the prepended under mark right
+    # past the over marks of strand j, one glide each, so a cap of exactly
+    # that many is enough
+    candidates = []
+    inner = ou.division._quotient_or_none
+
+    def recording(T, g, max_iters):
+        candidates.append((T.copy(), g))
+        return inner(T, g, max_iters)
+
+    monkeypatch.setattr(ou.division, "_quotient_or_none", recording)
+    ou.extraction_graph(_half_twist(5))
+    assert len(candidates) > 1000
+    gliding = 0
+    for T, g in candidates:
+        k = sum(1 for mk in T.strands[g.j - 1] if mk & 2)
+        expect = inner(T, g, ou.rewrite.DEFAULT_MAX_ITERS)
+        got = inner(T, g, k)
+        assert (got is None) == (expect is None)
+        if got is not None:
+            assert got.canonical_text() == expect.canonical_text()
+        if k:
+            gliding += 1
+            with pytest.raises(ou.CapExceeded):
+                inner(T, g, k - 1)
+    assert gliding > len(candidates) // 2
+
+
+def test_prepend_chain_matches_generic_loop():
+    # a prepend's glide chain leaves the state the generic settle-and-glide
+    # loop leaves on a copy, for every generator and not only divisors
+    rng = random.Random(71)
+    starts = [_half_twist(n) for n in (3, 4, 5)] + [ou.ch(ou.parse_vpb(GARSIDE3))]
+    starts += [ou.ch(random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(0, 9))) for _ in range(30)]
+    for T in starts:
+        g = ou.extraction_graph(T)
+        for key in g.nodes:
+            node = ou.rewrite._Scratch.from_diagram(ou.parse(key.decode("ascii")))
+            for gen in ou.vpb_generators(T.n):
+                chain, generic = node.copy(), node.copy()
+                chain.glide_chain(chain.prepend_crossing(gen.i, gen.j, -gen.sign), gen.j - 1, 0, 1 << 20)
+                where, uo = generic.reduce(generic.prepend_crossing(gen.i, gen.j, -gen.sign))
+                generic._glide_loop(where, uo, 1 << 20)
+                assert chain.canonical_text() == generic.canonical_text()
+                assert not chain.uo_slots()

@@ -388,3 +388,79 @@ def test_reduce_r12_matches_oracle():
         assert ou.is_reduced(d) == (len(expect.crossings) == len(d.crossings))
         reduced += ou.is_reduced(d)
     assert 0 < reduced < len(cases) // 2
+
+
+def test_push_glides_once_per_under_mark_of_its_over_strand(monkeypatch):
+    # a push's glide chain walks the new over mark left past the under marks
+    # of strand i, one glide each, so a cap of exactly that many is enough
+    pushes = []
+    inner = ou.OuAccumulator.push
+
+    def recording(self, i, j, sign):
+        pushes.append((self.copy(), i, j, sign))
+        inner(self, i, j, sign)
+
+    monkeypatch.setattr(ou.OuAccumulator, "push", recording)
+    ou.tabulate(3, 5, "classical")
+    ou.tabulate(3, 3, "virtual")
+    monkeypatch.setattr(ou.OuAccumulator, "push", inner)
+    assert len(pushes) > 1000
+    gliding = 0
+    for acc, i, j, sign in pushes:
+        k = sum(1 for mk in acc._scratch.strands[i - 1] if not mk & 2)
+        ok = acc.copy()
+        ok.max_iters = k
+        ok.push(i, j, sign)
+        if k:
+            gliding += 1
+            short = acc.copy()
+            short.max_iters = k - 1
+            with pytest.raises(ou.CapExceeded):
+                short.push(i, j, sign)
+    assert gliding > len(pushes) // 2
+
+
+def test_glide_chain_matches_generic_loop(monkeypatch):
+    # after every push, the chain's state equals the generic settle-and-glide
+    # loop's on a copy, and the chain's narrow settle sets trigger R1 and R2
+    # removals after its glides
+    rng = random.Random(67)
+    words = []
+    for _ in range(60):
+        words.append(random_vpb_word(rng, rng.randrange(2, 7), rng.randrange(0, 14)))
+        n = rng.randrange(2, 7)
+        letters = [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randrange(0, 14))]
+        words.append(ou.classical_to_vpb(ClassicalBraidWord(n, tuple(letters)))[0])
+        w = random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(1, 6))
+        cut = rng.randrange(len(w.letters) + 1)
+        g = rng.choice(ou.vpb_generators(w.n))
+        words.append(ou.VirtualBraidWord(w.n, w.letters[:cut] + (g, g.inverse()) + w.letters[cut:]))
+
+    Scratch = ou.rewrite._Scratch
+    removals = {1: 0, 2: 0}
+    chain = {"running": False, "glided": False}
+    inner_drop, inner_glide = Scratch._drop, Scratch.glide
+
+    def counting_drop(self, marks, *args):
+        if chain["running"] and chain["glided"]:
+            removals[len(marks)] += 1
+        inner_drop(self, marks, *args)
+
+    def flagging_glide(self, *args, **kwargs):
+        chain["glided"] = True
+        return inner_glide(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scratch, "_drop", counting_drop)
+    monkeypatch.setattr(Scratch, "glide", flagging_glide)
+    for word in words:
+        acc = ou.OuAccumulator(word.n)
+        for g in word.letters:
+            generic = acc._scratch.copy()
+            chain.update(running=True, glided=False)
+            acc.push(g.i, g.j, g.sign)
+            chain["running"] = False
+            where, uo = generic.reduce(generic.append_crossing(g.i, g.j, g.sign))
+            generic._glide_loop(where, uo, ou.rewrite.DEFAULT_MAX_ITERS)
+            assert acc.canonical_text() == generic.canonical_text()
+            assert ou.is_ou(acc.to_diagram())
+    assert removals[1] and removals[2]
