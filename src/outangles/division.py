@@ -36,16 +36,16 @@ def _quotient_or_none(T: _Scratch, g: BraidGenerator, max_iters: int) -> _Scratc
     """The reduced OU form of ``g``-inverse stacked before ``T`` if it has
     fewer crossings than ``T``, else ``None``.  ``T`` must be reduced OU.
 
-    Works on a copy, by one glide chain (:meth:`_Scratch.glide_chain`): the
-    prepended under mark walks right past strand ``j``'s over marks, and
-    ``max_iters`` caps its glides.  No cascade check is run.  ``T`` is OU, so it has no closed cascade path.
-    The new over mark heads its strand, so no cascade path enters it, and
-    the new under mark is entered only from that over mark.  So a closed
-    path would avoid the new crossing and be a closed path of ``T``; glides
-    and R1/R2 removal keep acyclicity.
+    Works on a copy, by :meth:`_Scratch.prepend_crossing`: the prepended
+    under mark walks right past strand ``j``'s over marks, and ``max_iters``
+    caps the glides of that walk.  No cascade check is run.  ``T`` is OU, so
+    it has no closed cascade path.  The new over mark heads its strand, so
+    no cascade path enters it, and the new under mark is entered only from
+    that over mark.  So a closed path would avoid the new crossing and be a
+    closed path of ``T``; glides and R1/R2 removal keep acyclicity.
     """
     q = T.copy()
-    q.glide_chain(q.prepend_crossing(g.i, g.j, -g.sign), g.j - 1, 0, max_iters)
+    q.prepend_crossing(g.i, g.j, -g.sign, max_iters)
     return q if q.crossing_count() < T.crossing_count() else None
 
 

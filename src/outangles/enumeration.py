@@ -85,10 +85,15 @@ def proud_words(n: int, m: int, kind: str = "virtual"):
 
 
 def _followers(n: int, kind: str) -> dict:
-    """Proud followers of each generator; ``None`` (the empty word) is
-    followed by every generator."""
-    gens = generators(n, kind)
-    return {g: proud_followers(g, n, kind) for g in gens} | {None: gens}
+    """Proud followers of each generator, each list built on its first
+    lookup; ``None`` (the empty word) is followed by every generator."""
+
+    class Followers(dict):
+        def __missing__(self, g):
+            self[g] = proud_followers(g, n, kind)
+            return self[g]
+
+    return Followers({None: generators(n, kind)})
 
 
 @dataclass(frozen=True)

@@ -10,29 +10,26 @@ removed and intervals are fixed.  States the engine built itself (the braid
 accumulator's, and division's candidate quotients) are acyclic by
 construction and are not checked.
 
-One settle loop finds every pattern, and for a diagram that comes in from
-outside every under-then-over slot too, by rechecking each dirty mark
-against its right neighbour.  An R1 is an adjacent pair of one crossing; an
-R2 is an adjacent pair of over marks (or of under marks) of opposite signs
-whose partner marks are adjacent too, in either order; an under mark
-followed by an over mark is a slot.  Normalizing a diagram starts with every
-mark dirty; later only the marks whose right neighbour changed are dirty,
-and after a removal the left neighbour of each removed mark.  R1/R2 removal
-terminates, and overlapping patterns (an R1 inside an R2, two R2s sharing a
-crossing) leave the same signed marks in the same places, so by Newman's
-lemma its fixpoint does not depend on the order of removal.
+One settle loop finds every pattern by rechecking each dirty mark against
+its right neighbour.  An R1 is an adjacent pair of one crossing; an R2 is an
+adjacent pair of over marks (or of under marks) of opposite signs whose
+partner marks are adjacent too, in either order.  Normalizing a diagram
+starts with every mark dirty; after a glide only the (at most four) marks
+that :meth:`_Scratch.glide` returns are dirty, and after a removal the left
+neighbour of each removed mark.  R1/R2 removal terminates, and overlapping
+patterns (an R1 inside an R2, two R2s sharing a crossing) leave the same
+signed marks in the same places, so by Newman's lemma its fixpoint does not
+depend on the order of removal.
 
-A crossing added at the ends of a reduced OU state (a braid accumulator's
-push, a division candidate's prepend) runs one glide chain instead.  Its new
-over mark (push) or under mark (prepend) is the only mark out of OU order;
-each glide moves it one step past a mark of the other pass on its strand,
-and the slot beside it is the only one, so the chain keeps no slot sets.
-On the tested tables it passes every such mark, one glide each: a push
-glides once per under mark of its over strand, a prepend once per over mark
-of its under strand.  After each glide the chain settles four marks, the
-left neighbour and the last inserted mark of each of the two insertions;
-:meth:`_Scratch.glide_chain` proves that no other changed adjacency can hold
-a new pattern.
+One walk fixes the intervals (:meth:`_Scratch._walk`).  It glides at one
+strand's under-then-over slots in position order, and after each glide it
+steps back to the left of the over mark the glide moved; so every glide is
+at the first slot of the state in (strand, position) order.  A diagram from
+outside is walked strand by strand.  A crossing added at the ends of a
+reduced OU state (a braid accumulator's push, a division candidate's
+prepend) can make slots on one strand only, which is walked from beside the
+new mark.  On the tested tables a push glides once per under mark of its
+over strand, a prepend once per over mark of its under strand.
 
 A glide replaces the two crossings ``a = X_{s1}[i1, j1]`` and
 ``b = X_{s2}[i2, j2]`` around a under-then-over interval ``(j1, i2)`` with::
@@ -99,26 +96,40 @@ class _Scratch:
     def crossing_count(self) -> int:
         return sum(map(len, self.strands)) >> 1
 
-    def append_crossing(self, i: int, j: int, sign: int) -> list[int]:
-        """Add one crossing at the tails of strands ``i`` and ``j`` (1-based);
-        return the marks whose right neighbour changed."""
+    def append_crossing(self, i: int, j: int, sign: int, max_iters: int) -> None:
+        """Add one crossing at the tails of strands ``i`` and ``j`` (1-based)
+        of a reduced OU state and bring it back to reduced OU form.
+
+        The two old tail marks are settled, then strand ``i`` is walked from
+        the left of the new over mark.  Every other strand stays OU: strand
+        ``j`` gains an under mark at its tail.  On strand ``i`` the new over
+        mark, if R1/R2 removal kept it, is the last mark, so its left
+        neighbour heads the only possible slot.  ``max_iters`` caps the
+        glides of the walk.
+        """
         mk = _mark(self._next, True, sign)
         self._next += 1
         over, under = self.strands[i - 1], self.strands[j - 1]
-        touched = over[-1:]
+        dirty = over[-1:] + under[-1:]
         over.append(mk)
-        touched += under[-1:]
         under.append(mk ^ 2)
-        return touched
+        self._walk(i - 1, len(over) - 2, self.reduce(dirty), 0, max_iters)
 
-    def prepend_crossing(self, i: int, j: int, sign: int) -> list[int]:
-        """Add one crossing at the heads of strands ``i`` and ``j`` (1-based);
-        return the marks whose right neighbour changed, the two new ones."""
+    def prepend_crossing(self, i: int, j: int, sign: int, max_iters: int) -> None:
+        """Add one crossing at the heads of strands ``i`` and ``j`` (1-based)
+        of a reduced OU state and bring it back to reduced OU form.
+
+        The two new marks are settled, then strand ``j`` is walked from 0.
+        Every other strand stays OU: strand ``i`` gains an over mark at its
+        head.  On strand ``j`` the new under mark, if R1/R2 removal kept it,
+        is the first mark, so it heads the only possible slot.  ``max_iters``
+        caps the glides of the walk.
+        """
         mk = _mark(self._next, True, sign)
         self._next += 1
         self.strands[i - 1].insert(0, mk)
         self.strands[j - 1].insert(0, mk ^ 2)
-        return [mk, mk ^ 2]
+        self._walk(j - 1, 0, self.reduce((mk, mk ^ 2)), 0, max_iters)
 
     # -- full scans ---------------------------------------------------------
 
@@ -170,89 +181,23 @@ class _Scratch:
         """The strand index of every mark."""
         return {mk: s for s, lst in enumerate(self.strands) for mk in lst}
 
-    def glide(self, s: int, i: int, where: dict[int, int], every: bool = True) -> list[int]:
+    def glide(self, s: int, i: int, where: dict[int, int]) -> list[int]:
         """Fix the under-then-over interval at marks ``i``, ``i + 1`` of
         strand ``s`` (0-based), keeping the strand lookup ``where`` current.
         The marks belong to different crossings: :func:`glide_once` checks
         that, and :meth:`_settle` removes a same-crossing pair as an R1.
 
-        Returns the marks whose right neighbour changed: those around the
-        swapped pair and around each anchor insertion.  With ``every`` false
-        it returns only the four that :meth:`glide_chain` settles: at each
-        insertion, the mark left of it and its last inserted mark.
-        """
-        lst = self.strands[s]
-        x, y = lst[i], lst[i + 1]
-        sign = -1 if (x ^ y) & 1 else 1  # s1 * s2
-        over1 = _mark(self._next, True, sign)
-        over2 = _mark(self._next + 1, True, -sign)
-        self._next += 2
-
-        # b's over mark slides back to the old under slot, a's under mark
-        # slides forward to the old over slot: the interval becomes OU
-        lst[i], lst[i + 1] = y, x
-        touched = ([y, x] + lst[i - 1 : i]) if every else []
-
-        # the new crossings' over marks flank a's over mark and their under
-        # marks flank b's under mark, in the order the sign bits of x and y give
-        touched += self._insert_around(where, x ^ 2, over1, over2, x & 1, every)
-        touched += self._insert_around(where, y ^ 2, over2 ^ 2, over1 ^ 2, y & 1, every)
-        return touched
-
-    def _insert_around(
-        self, where: dict[int, int], anchor: int, before: int, after: int, keep: int, every: bool
-    ) -> list[int]:
-        """Put ``before`` just ahead of ``anchor`` and ``after`` just behind
-        it, or the other way round when ``keep`` is false; return the marks
-        whose right neighbour changed, or with ``every`` false only the
-        last inserted mark and the mark left of the insertion."""
-        if not keep:
-            before, after = after, before
-        s = where[anchor]
-        where[before] = where[after] = s
-        marks = self.strands[s]
-        at = marks.index(anchor)
-        marks[at : at + 1] = (before, anchor, after)
-        touched = [before, anchor, after] if every else [after]
-        if at:
-            touched.append(marks[at - 1])
-        return touched
-
-    def glide_chain(self, dirty: list[int], s: int, at: int, max_iters: int) -> None:
-        """Bring a reduced OU state with one crossing just added at its ends
-        back to reduced OU form: settle the ``dirty`` marks, then glide the
-        new crossing's moving mark, index ``at`` of strand ``s`` (negative
-        counts from the end), until it has no slot beside it.
-
-        After a push (:meth:`append_crossing` at strands ``i``, ``j``) the
-        moving mark is the new over mark, and it walks left past strand
-        ``i``'s under marks.  After a prepend (:meth:`prepend_crossing`) it
-        is the new under mark, and it walks right past strand ``j``'s over
-        marks.  Each glide is at the slot beside the moving mark, and it is
-        the only slot of the state, so nothing searches for slots:
-
-        * Before the first glide, every strand but ``s`` is OU, and strand
-          ``s`` is OU but for the moving mark, which can head only a slot
-          with its neighbour on the side it walks to.
-        * A glide swaps that pair, which moves the moving mark one step on.
-          Its new over marks go next to an over mark of the over part of
-          their strand, and its new under marks next to an under mark of
-          the under part of theirs, so every strand keeps its form.
-        * R1/R2 removal deletes marks, which keeps every form too; if it
-          deletes the moving mark, the state is OU.
-
-        After each glide only the four marks :meth:`glide` returns with
-        ``every`` false are settled, and the proof that this finds every new
-        R1 and R2 holds for any glide on a reduced state.  A new pattern has
-        a changed adjacency, and an R2 is found from either of its two
-        adjacencies; so it is enough that none of the seven changed
-        adjacencies left out is a pattern when the glide ends.  (One that a
-        removal turns into a pattern later is found from the partners' new
-        adjacency, whose left mark the removal makes dirty.)  Let the glide
-        turn ``L, x, y, R`` into ``L, y, x, R`` and insert new marks around
-        the anchors ``x ^ 2`` and ``y ^ 2``.  After the insertions each
-        anchor sits between two new marks, and each new mark's partner sits
-        beside the other anchor.
+        Returns the marks to settle: at each of the two insertions, the mark
+        left of it and its last inserted mark.  On a reduced state, settling
+        them finds every new R1 and R2.  A new pattern has a changed
+        adjacency, and an R2 is found from either of its two adjacencies; so
+        it is enough that none of the seven changed adjacencies left out is a
+        pattern when the glide ends.  (One that a removal turns into a
+        pattern later is found from the partners' new adjacency, whose left
+        mark the removal makes dirty.)  Let the glide turn ``L, x, y, R``
+        into ``L, y, x, R`` and insert new marks around the anchors ``x ^ 2``
+        and ``y ^ 2``.  After the insertions each anchor sits between two new
+        marks, and each new mark's partner sits beside the other anchor.
 
         * ``y, x`` are an over and an under mark of two crossings.
         * ``L, y``: ``L`` is not the anchor ``y ^ 2``, or a new mark would
@@ -268,78 +213,106 @@ class _Scratch:
           or ``y``'s left one, put there around ``x ^ 2``.  Then ``y, y ^ 2``
           or ``x ^ 2, x`` were adjacent before the glide: an R1, which the
           reduced state cannot hold.
-
-        :meth:`_glide_loop` settles all the changed marks, which its slot
-        sets need.
-
-        Raises :class:`CapExceeded` before glide ``max_iters + 1``.
         """
         lst = self.strands[s]
-        mover = lst[at]
-        at %= len(lst)
-        step = -1 if mover & 2 else 1
-        where = self.strand_of()
-        self._settle(where, set(dirty))
-        glides = 0
-        while mover in where:
-            if at >= len(lst) or lst[at] != mover:  # removal left of the mover
-                at = lst.index(mover)
-            beside = at + step
-            if not 0 <= beside < len(lst) or not (lst[beside] ^ mover) & 2:
-                return
-            if glides >= max_iters:
-                raise CapExceeded(f"no OU form after {max_iters} glide moves")
-            glides += 1
-            self._settle(where, set(self.glide(s, min(at, beside), where, every=False)))
-            at = beside
+        x, y = lst[i], lst[i + 1]
+        sign = -1 if (x ^ y) & 1 else 1  # s1 * s2
+        over1 = _mark(self._next, True, sign)
+        over2 = _mark(self._next + 1, True, -sign)
+        self._next += 2
+
+        # b's over mark slides back to the old under slot, a's under mark
+        # slides forward to the old over slot: the interval becomes OU
+        lst[i], lst[i + 1] = y, x
+
+        # the new crossings' over marks flank a's over mark and their under
+        # marks flank b's under mark, in the order the sign bits of x and y give
+        return self._insert_around(where, x ^ 2, over1, over2, x & 1) + self._insert_around(
+            where, y ^ 2, over2 ^ 2, over1 ^ 2, y & 1
+        )
+
+    def _insert_around(self, where: dict[int, int], anchor: int, before: int, after: int, keep: int) -> list[int]:
+        """Put ``before`` just ahead of ``anchor`` and ``after`` just behind
+        it, or the other way round when ``keep`` is false; return the last
+        inserted mark and the mark left of the insertion."""
+        if not keep:
+            before, after = after, before
+        s = where[anchor]
+        where[before] = where[after] = s
+        marks = self.strands[s]
+        at = marks.index(anchor)
+        marks[at : at + 1] = (before, anchor, after)
+        return [after, marks[at - 1]] if at else [after]
 
     # -- normalization --------------------------------------------------------
 
     def marks(self) -> list[int]:
         return [mk for lst in self.strands for mk in lst]
 
-    def reduce(self, dirty: Iterable[int]) -> tuple[dict[int, int], list[set[int]]]:
+    def reduce(self, dirty: Iterable[int]) -> dict[int, int]:
         """Settle the ``dirty`` marks (every mark, or those whose right
-        neighbour changed); return the strand lookup and the UO slot sets
-        that :meth:`_glide_loop` keeps current."""
+        neighbour changed); return the strand lookup."""
         where = self.strand_of()
-        uo: list[set[int]] = [set() for _ in self.strands]
-        self._settle(where, set(dirty), uo)
-        return where, uo
+        self._settle(where, set(dirty))
+        return where
 
-    def _glide_loop(
-        self, where: dict[int, int], uo: list[set[int]], max_iters: int, rng: random.Random | None = None
-    ) -> None:
-        """Glide at the first UO slot in (strand, position) order, or at a
-        random one, and settle the marks the glide touched, until no slot is
-        left.  ``uo[s]`` holds the under marks of strand ``s`` that an over
-        mark follows; the state is R1/R2-reduced on entry."""
-        strands = self.strands
-        glides = 0
+    def _walk(self, s: int, at: int, where: dict[int, int], glides: int, max_iters: int) -> int:
+        """Glide at the slots of strand ``s`` in position order, from
+        position ``at`` on, until none is left; return ``glides`` plus the
+        glides made.  The state must be reduced, with no slot before
+        position ``at`` of strand ``s`` or on an earlier strand.
+
+        A slot is an under mark followed by an over mark.  After each glide
+        the walk steps back to the position left of the *mover*, the over
+        mark that the glide swapped one step left.  So each glide is at the
+        first slot of the state in (strand, position) order, by two facts:
+
+        * No glide makes a slot behind the walk.  A glide puts its new over
+          marks next to an over anchor and its new under marks next to an
+          under anchor.  On a strand whose marks run over-then-under,
+          neither makes a slot.  R1/R2 removal only deletes marks, which
+          keeps that form.  So the strands before ``s`` stay OU, and the
+          part of strand ``s`` before the mover stays over-then-under.
+        * The walk always finds the next slot.  After a glide, the first
+          slot of the whole state is at the mover's left or later on strand
+          ``s``, or on a later strand.  The walk re-finds the mover by
+          identity when an insertion or a removal to its left shifted it.
+          If R1/R2 removal deleted the mover, the walk rescans strand ``s``
+          from 0.
+
+        The state stays reduced, as :meth:`glide` proves for the marks it
+        returns.  Raises :class:`CapExceeded` instead of glide
+        ``max_iters + 1``.
+        """
+        lst = self.strands[s]
         while True:
-            if rng is None:
-                for s, marks in enumerate(uo):
-                    if marks:
-                        break
-                else:
-                    return
-                i = min(map(strands[s].index, marks))
+            for k in range(max(at, 0), len(lst) - 1):
+                if not lst[k] & 2 and lst[k + 1] & 2:
+                    break
             else:
-                pool = [(s, mk) for s, marks in enumerate(uo) for mk in marks]
-                if not pool:
-                    return
-                s, mk = rng.choice(pool)
-                i = strands[s].index(mk)
-            if glides >= max_iters:
-                raise CapExceeded(f"no OU form after {max_iters} glide moves")
-            glides += 1
-            self._settle(where, set(self.glide(s, i, where)), uo)
+                return glides
+            mover = lst[k + 1]
+            glides = self._glide_settled(s, k, where, glides, max_iters)
+            if k < len(lst) and lst[k] == mover:
+                at = k - 1
+            elif mover in where:  # shifted by an insertion or a removal
+                at = lst.index(mover) - 1
+            else:  # removed by R1/R2
+                at = 0
 
-    def _settle(self, where: dict[int, int], dirty: set[int], uo: list[set[int]] | None = None) -> None:
+    def _glide_settled(self, s: int, i: int, where: dict[int, int], glides: int, max_iters: int) -> int:
+        """Glide at slot ``i`` of strand ``s`` and settle the marks the glide
+        returns; return the glide count ``glides + 1``.  Raises
+        :class:`CapExceeded` instead when ``glides`` is already ``max_iters``."""
+        if glides >= max_iters:
+            raise CapExceeded(f"no OU form after {max_iters} glide moves")
+        self._settle(where, set(self.glide(s, i, where)))
+        return glides + 1
+
+    def _settle(self, where: dict[int, int], dirty: set[int]) -> None:
         """Recheck the adjacency to the right of each dirty mark: remove an
         R1 or R2 pattern found there, marking the left neighbours of the
-        removed marks dirty in turn, and, given ``uo``, add or drop the
-        mark's UO slot."""
+        removed marks dirty in turn."""
         strands = self.strands
         while dirty:
             x = dirty.pop()
@@ -349,20 +322,12 @@ class _Scratch:
             lst = strands[s]
             i = lst.index(x) + 1
             if i == len(lst):
-                if uo is not None:
-                    uo[s].discard(x)
                 continue
             y = lst[i]
             if x ^ y == 2:  # the two passes of one crossing: an R1
-                self._drop((x,), where, dirty, uo)
-            elif (x ^ y) & 2:  # one over and one under mark
-                if uo is not None and y & 2:
-                    uo[s].add(x)
-            else:
-                if uo is not None:
-                    uo[s].discard(x)
-                if (x ^ y) & 1 and self._adjacent(x ^ 2, y ^ 2, where):  # opposite signs
-                    self._drop((x, y), where, dirty, uo)
+                self._drop((x,), where, dirty)
+            elif (x ^ y) & 3 == 1 and self._adjacent(x ^ 2, y ^ 2, where):  # one pass, opposite signs
+                self._drop((x, y), where, dirty)
 
     def _adjacent(self, p: int, q: int, where: dict[int, int]) -> bool:
         """Marks ``p`` and ``q`` are neighbours, in either order."""
@@ -372,19 +337,14 @@ class _Scratch:
         k = lst.index(p)
         return lst[k + 1 : k + 2] == [q] or (k > 0 and lst[k - 1] == q)
 
-    def _drop(
-        self, marks: tuple[int, ...], where: dict[int, int], dirty: set[int], uo: list[set[int]] | None
-    ) -> None:
+    def _drop(self, marks: tuple[int, ...], where: dict[int, int], dirty: set[int]) -> None:
         """Remove the crossings that ``marks`` are passes of; the left
         neighbour of each removed mark becomes dirty."""
         for m in marks:
             for mk in (m, m ^ 2):
-                s = where.pop(mk)
-                lst = self.strands[s]
+                lst = self.strands[where.pop(mk)]
                 k = lst.index(mk)
                 del lst[k]
-                if uo is not None:
-                    uo[s].discard(mk)
                 if k:
                     dirty.add(lst[k - 1])
 
@@ -420,21 +380,18 @@ class OuAccumulator:
     def push(self, i: int, j: int, sign: int) -> None:
         """Multiply by the generator ``s(i,j)^sign`` on the right.
 
-        One glide chain (:meth:`_Scratch.glide_chain`): the two new tail
-        adjacencies are settled, then the appended over mark walks left past
-        strand ``i``'s under marks, one glide each, and after each glide the
-        four marks around its two insertions are settled.  ``max_iters``
-        caps the chain's glides.  No cascade check is run: the
-        state before the push is reduced OU, and on an OU strand a cascade
-        path that has dropped once meets only under marks, so it cannot
-        close.  The appended over mark drops only to the appended under
-        mark, the last on its strand, so no closed path runs through the new
-        crossing either; glides and R1/R2 removal keep acyclicity.  After a
-        push that raised, the state is not reduced and the accumulator must
-        not be reused.
+        :meth:`_Scratch.append_crossing` adds the crossing and walks strand
+        ``i``: the appended over mark moves left past strand ``i``'s under
+        marks, one glide each.  ``max_iters`` caps the glides of that walk.
+        No cascade check is run: the state before the push is reduced OU,
+        and on an OU strand a cascade path that has dropped once meets only
+        under marks, so it cannot close.  The appended over mark drops only
+        to the appended under mark, the last on its strand, so no closed path
+        runs through the new crossing either; glides and R1/R2 removal keep
+        acyclicity.  After a push that raised, the state is not reduced and
+        the accumulator must not be reused.
         """
-        scratch = self._scratch
-        scratch.glide_chain(scratch.append_crossing(i, j, sign), i - 1, -1, self.max_iters)
+        self._scratch.append_crossing(i, j, sign, self.max_iters)
 
     def crossing_count(self) -> int:
         return self._scratch.crossing_count()
@@ -540,10 +497,18 @@ def xi(d: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> int:
 
 def _normalized(d: Diagram, max_iters: int, rng: random.Random | None = None) -> _Scratch:
     """The reduced OU form of ``d`` as a scratch state: settle every mark,
-    check for a closed cascade path if a slot is left, then glide."""
+    check for a closed cascade path if a slot is left, then walk every
+    strand from position 0 under one glide budget, or with ``rng`` glide at
+    a random slot until none is left."""
     scratch = _Scratch.from_diagram(d)
-    where, uo = scratch.reduce(scratch.marks())
-    if any(uo) and not scratch.is_acyclic():
+    where = scratch.reduce(scratch.marks())
+    if scratch.uo_slots() and not scratch.is_acyclic():
         raise CyclicDiagram("cyclic")
-    scratch._glide_loop(where, uo, max_iters, rng)
+    glides = 0
+    if rng is None:
+        for s in range(len(scratch.strands)):
+            glides = scratch._walk(s, 0, where, glides, max_iters)
+    else:
+        while slots := scratch.uo_slots():
+            glides = scratch._glide_settled(*rng.choice(slots), where, glides, max_iters)
     return scratch

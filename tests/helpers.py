@@ -172,6 +172,23 @@ def oracle_reduce_r12(d: Diagram) -> Diagram:
         crossings = [c for c in crossings if c not in dead]
 
 
+def _reference_normal_form(d: Diagram) -> tuple[Diagram, int]:
+    """The normal form by the oracle's R1/R2 removal and the public
+    full-scan steps, and its glide count: reduce, then glide at the first
+    under-then-over interval, repeated.  The glide, the interval scan and
+    the cascade check are the library's public ones (``glide_once`` is
+    checked against :func:`oracle_glide`); the R1/R2 removal and the choice
+    of interval are not the engine's."""
+    d = outangles.tidy(oracle_reduce_r12(d))
+    if outangles.uo_intervals(d) and not outangles.is_acyclic(d):
+        raise outangles.CyclicDiagram("cyclic")
+    glides = 0
+    while intervals := outangles.uo_intervals(d):
+        d = outangles.tidy(oracle_reduce_r12(outangles.glide_once(d, intervals[0])))
+        glides += 1
+    return d, glides
+
+
 def word_is_proud(word, kind: str) -> bool:
     """Two-letter pride predicate applied along the word."""
     for g, h in zip(word, word[1:]):

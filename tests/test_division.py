@@ -2,6 +2,7 @@ import random
 
 import pytest
 from helpers import (
+    _reference_normal_form,
     all_path_words,
     all_two_crossing_diagrams_two_strands,
     is_bipartite_undirected,
@@ -393,20 +394,23 @@ def test_quotient_glides_once_per_over_mark_of_its_under_strand(monkeypatch):
     assert gliding > len(candidates) // 2
 
 
-def test_prepend_chain_matches_generic_loop():
-    # a prepend's glide chain leaves the state the generic settle-and-glide
-    # loop leaves on a copy, for every generator and not only divisors
+def test_prepend_matches_reference_normal_form():
+    # a prepend's walk leaves the normal form of the generator's inverse
+    # stacked before the node, for every generator and not only divisors:
+    # on the four fixed starts the oracle reference's, on the random ones
+    # ou_normal_form's, which test_normal_form_matches_full_scan_reference
+    # ties to that reference
     rng = random.Random(71)
-    starts = [_half_twist(n) for n in (3, 4, 5)] + [ou.ch(ou.parse_vpb(GARSIDE3))]
-    starts += [ou.ch(random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(0, 9))) for _ in range(30)]
-    for T in starts:
+    fixed = [_half_twist(n) for n in (3, 4, 5)] + [ou.ch(ou.parse_vpb(GARSIDE3))]
+    randoms = [ou.ch(random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(0, 9))) for _ in range(30)]
+    for T, by_oracle in [(T, True) for T in fixed] + [(T, False) for T in randoms]:
         g = ou.extraction_graph(T)
         for key in g.nodes:
-            node = ou.rewrite._Scratch.from_diagram(ou.parse(key.decode("ascii")))
+            node = ou.parse(key.decode("ascii"))
             for gen in ou.vpb_generators(T.n):
-                chain, generic = node.copy(), node.copy()
-                chain.glide_chain(chain.prepend_crossing(gen.i, gen.j, -gen.sign), gen.j - 1, 0, 1 << 20)
-                where, uo = generic.reduce(generic.prepend_crossing(gen.i, gen.j, -gen.sign))
-                generic._glide_loop(where, uo, 1 << 20)
-                assert chain.canonical_text() == generic.canonical_text()
-                assert not chain.uo_slots()
+                walked = ou.rewrite._Scratch.from_diagram(node)
+                walked.prepend_crossing(gen.i, gen.j, -gen.sign, 1 << 20)
+                stacked = ou.compose(ou.generator_diagram(T.n, gen.inverse()), node)
+                expect = _reference_normal_form(stacked)[0] if by_oracle else ou.ou_normal_form(stacked)
+                assert walked.canonical_text() == ou.serialize(expect)
+                assert not walked.uo_slots()

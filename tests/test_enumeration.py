@@ -82,6 +82,22 @@ def test_tabulate_wide_tables():
     assert ou.tabulate(6, 3, "classical").count_exactly == (1, 10, 66, 362)
 
 
+def test_follower_lists_are_built_on_first_lookup(monkeypatch):
+    # one-letter words get no second letter, so no generator's follower
+    # list is needed, which on 40 strands would be 3120 lists
+    calls = []
+    inner = ou.enumeration.proud_followers
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(ou.enumeration, "proud_followers", counting)
+    assert ou.tabulate(40, 1, "virtual").count_exactly == (1, 3120)
+    assert ou.worst_braid(40, 1)[1] == 1
+    assert not calls
+
+
 def test_tabulate_agrees_with_definitional_route():
     # independent route: normalize every proud word from scratch and dedup
     def naive(n, m, kind):

@@ -6,6 +6,7 @@ from helpers import (
     oracle_is_acyclic,
     oracle_is_ou,
     oracle_reduce_r12,
+    _reference_normal_form,
     random_gauss,
     random_vpb_word,
     twist_word,
@@ -255,20 +256,6 @@ def test_growth_bound_smoke():
         assert grown <= 3 * ou.xi(T) + 1
 
 
-def _reference_normal_form(d: Diagram) -> tuple[Diagram, int]:
-    """The normal form by the oracle's R1/R2 removal and the public
-    full-scan steps, and its glide count: reduce, then glide at the first
-    under-then-over interval, repeated."""
-    d = ou.tidy(oracle_reduce_r12(d))
-    if ou.uo_intervals(d) and not ou.is_acyclic(d):
-        raise ou.CyclicDiagram("cyclic")
-    glides = 0
-    while intervals := ou.uo_intervals(d):
-        d = ou.tidy(oracle_reduce_r12(ou.glide_once(d, intervals[0])))
-        glides += 1
-    return d, glides
-
-
 def _classical_diagram(n: int, letters: tuple[int, ...]) -> Diagram:
     return ou.iota(ou.classical_to_vpb(ClassicalBraidWord(n, letters))[0])
 
@@ -420,10 +407,11 @@ def test_push_glides_once_per_under_mark_of_its_over_strand(monkeypatch):
     assert gliding > len(pushes) // 2
 
 
-def test_glide_chain_matches_generic_loop(monkeypatch):
-    # after every push, the chain's state equals the generic settle-and-glide
-    # loop's on a copy, and the chain's narrow settle sets trigger R1 and R2
-    # removals after its glides
+def test_push_matches_reference_normal_form(monkeypatch):
+    # after every push, the accumulator's state is the oracle reference's
+    # normal form of the state before it with the generator stacked after,
+    # and the walk's narrow settle sets trigger R1 and R2 removals after its
+    # glides
     rng = random.Random(67)
     words = []
     for _ in range(60):
@@ -438,29 +426,61 @@ def test_glide_chain_matches_generic_loop(monkeypatch):
 
     Scratch = ou.rewrite._Scratch
     removals = {1: 0, 2: 0}
-    chain = {"running": False, "glided": False}
+    walk = {"running": False, "glided": False}
     inner_drop, inner_glide = Scratch._drop, Scratch.glide
 
     def counting_drop(self, marks, *args):
-        if chain["running"] and chain["glided"]:
+        if walk["running"] and walk["glided"]:
             removals[len(marks)] += 1
         inner_drop(self, marks, *args)
 
-    def flagging_glide(self, *args, **kwargs):
-        chain["glided"] = True
-        return inner_glide(self, *args, **kwargs)
+    def flagging_glide(self, *args):
+        walk["glided"] = True
+        return inner_glide(self, *args)
 
     monkeypatch.setattr(Scratch, "_drop", counting_drop)
     monkeypatch.setattr(Scratch, "glide", flagging_glide)
     for word in words:
         acc = ou.OuAccumulator(word.n)
         for g in word.letters:
-            generic = acc._scratch.copy()
-            chain.update(running=True, glided=False)
+            stacked = ou.compose(acc.to_diagram(), ou.generator_diagram(word.n, g))
+            walk.update(running=True, glided=False)
             acc.push(g.i, g.j, g.sign)
-            chain["running"] = False
-            where, uo = generic.reduce(generic.append_crossing(g.i, g.j, g.sign))
-            generic._glide_loop(where, uo, ou.rewrite.DEFAULT_MAX_ITERS)
-            assert acc.canonical_text() == generic.canonical_text()
+            walk["running"] = False
+            expect, _ = _reference_normal_form(stacked)
+            assert acc.canonical_text() == ou.serialize(expect)
             assert ou.is_ou(acc.to_diagram())
     assert removals[1] and removals[2]
+
+
+def test_cap_message_names_the_cap_on_every_path():
+    # the walk carries what is left of the budget from strand to strand, but
+    # the message, which the CLI prints, names the cap the caller gave
+    def message(k):
+        return f"no OU form after {k} glide moves"
+
+    d = _classical_diagram(3, (1, 2) * 5)  # 23 glides, on all three strands
+    assert ou.ou_normal_form(d, max_iters=23) == ou.ou_normal_form(d)
+    for k in range(23):
+        with pytest.raises(ou.CapExceeded) as exc:
+            ou.ou_normal_form(d, max_iters=k)
+        assert str(exc.value) == message(k)
+
+    word, _ = ou.classical_to_vpb(ClassicalBraidWord(3, (1, 2) * 10))
+    for k in (0, 1, 2, 5):
+        acc = ou.OuAccumulator(3, max_iters=k)
+        with pytest.raises(ou.CapExceeded) as exc:
+            for g in word.letters:
+                acc.push(g.i, g.j, g.sign)
+        assert str(exc.value) == message(k)
+
+    T = ou.ou_normal_form(_classical_diagram(4, (1, 2, 3, 1, 2, 1)))
+    capped = 0
+    for g in ou.divisors(T):
+        k = sum(1 for c in T.crossings if c.over[0] == g.j)
+        if k:
+            capped += 1
+            with pytest.raises(ou.CapExceeded) as exc:
+                ou.quotient(T, g, max_iters=k - 1)
+            assert str(exc.value) == message(k - 1)
+    assert capped
