@@ -110,10 +110,7 @@ def generator_diagram(n: int, g: BraidGenerator) -> Diagram:
 
 def iota(w: VirtualBraidWord) -> Diagram:
     """Include a word into diagrams: one crossing per letter, stacked."""
-    d = identity_diagram(w.n)
-    for g in w.letters:
-        d = compose(d, generator_diagram(w.n, g))
-    return d
+    return compose(identity_diagram(w.n), *(generator_diagram(w.n, g) for g in w.letters))
 
 
 def ch(w: VirtualBraidWord, max_iters: int = DEFAULT_MAX_ITERS) -> Diagram:

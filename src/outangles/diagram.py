@@ -160,18 +160,23 @@ def tidy(d: Diagram) -> Diagram:
     return _assemble(_strand_sequences(d))
 
 
-def compose(d1: Diagram, d2: Diagram) -> Diagram:
-    """Stack ``d2`` after ``d1``, strand by strand.
+def compose(d1: Diagram, *rest: Diagram) -> Diagram:
+    """Stack the diagrams in order, strand by strand, in one pass.
 
-    Equivalent to rescaling each strand of ``d2`` into the gap between the
-    last crossing mark of the matching strand of ``d1`` and its end-of-strand
-    mark, then tidying.  Crossing counts add.
+    Equivalent to rescaling each strand of each later diagram into the gap
+    before the end-of-strand mark of the matching strand of the stack so
+    far, then tidying.  Stacking is associative: ``compose(a, b, c) ==
+    compose(compose(a, b), c)``, and ``compose(d) == tidy(d)``.
+    Crossing counts add.
     """
-    if d1.n != d2.n:
-        raise StrandCountMismatch(f"cannot compose diagrams on {d1.n} and {d2.n} strands")
-    offset = 4 * len(d1.crossings)  # renumbers d2's crossings after d1's
-    seq2 = _strand_sequences(d2)
-    merged = [seq + [mk + offset for mk in seq2[a]] for a, seq in enumerate(_strand_sequences(d1))]
+    merged = _strand_sequences(d1)
+    offset = 4 * len(d1.crossings)  # renumbers each diagram's crossings after those before it
+    for d in rest:
+        if d.n != d1.n:
+            raise StrandCountMismatch(f"cannot compose diagrams on {d1.n} and {d.n} strands")
+        for seq, more in zip(merged, _strand_sequences(d)):
+            seq += [mk + offset for mk in more]
+        offset += 4 * len(d.crossings)
     return _assemble(merged)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .braid import (
     BraidGenerator,
@@ -108,12 +109,7 @@ class TabulationReport:
     representatives_path: str | None = None
 
     def cumulative(self) -> tuple[int, ...]:
-        total = 0
-        out = []
-        for c in self.count_exactly:
-            total += c
-            out.append(total)
-        return tuple(out)
+        return tuple(accumulate(self.count_exactly))
 
     def table_text(self) -> str:
         rows = [("m", "exact", "cumulative")]
@@ -255,8 +251,6 @@ def read_representatives(path: str | os.PathLike):
             if len(parts) < 4 or parts[0] not in KINDS:
                 raise ParseError("expected '<kind> <n> <length> <letters> <key hash>'", line_no)
             kind, n, length, tokens = parts[0], parts[1], parts[2], " ".join(parts[3:-1])
-            if not length.isdecimal():
-                raise ParseError(f"bad first length {length!r}", line_no)
             try:
                 if kind == "virtual":
                     word = parse_vpb(f"vpb {n}: {tokens}")
@@ -264,7 +258,9 @@ def read_representatives(path: str | os.PathLike):
                     word = parse_classical(f"br {n}: {tokens}")
             except ParseError as exc:
                 raise ParseError(str(exc), line_no) from None
-            yield word, int(length), parts[-1]
+            if length != str(len(word.letters)):
+                raise ParseError(f"first length {length!r} is not the word's length {len(word.letters)}", line_no)
+            yield word, len(word.letters), parts[-1]
 
 
 def fibonacci_check(m_max: int, counts: tuple[int, ...] | None = None) -> bool:
@@ -277,6 +273,8 @@ def fibonacci_check(m_max: int, counts: tuple[int, ...] | None = None) -> bool:
         raise ValueError("need m_max >= 1")
     if counts is None:
         counts = tabulate(3, m_max, "classical").count_exactly
+    if len(counts) <= m_max:
+        raise ValueError(f"need counts for m = 0 .. {m_max}, got {len(counts)}")
     fib = [0, 1, 1]
     while len(fib) <= m_max + 3:
         fib.append(fib[-1] + fib[-2])

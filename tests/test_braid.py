@@ -37,6 +37,25 @@ def test_iota_crossing_count_is_word_length():
         assert ou.crossing_number(ou.iota(w)) == len(w.letters)
 
 
+def test_iota_builds_one_diagram_per_letter_plus_two(monkeypatch):
+    # the identity, one diagram per letter, and the one stack of them all
+    built = []
+    inner = ou.diagram.Diagram.__post_init__
+
+    def counting(self):
+        built.append(self)
+        inner(self)
+
+    monkeypatch.setattr(ou.diagram.Diagram, "__post_init__", counting)
+    rng = random.Random(5)
+    for length in range(2, 13):
+        w = random_vpb_word(rng, 4, length)
+        built.clear()
+        d = ou.iota(w)
+        assert len(built) <= length + 2
+        assert ou.crossing_number(d) == length
+
+
 def test_ch_relations():
     assert ou.braids_equal(
         ou.parse_vpb("vpb 3: s1,2 s1,3 s2,3"), ou.parse_vpb("vpb 3: s2,3 s1,3 s1,2")

@@ -107,11 +107,16 @@ def test_compose_associative_up_to_canonical_key():
         left = ou.compose(ou.compose(a, b), c)
         right = ou.compose(a, ou.compose(b, c))
         assert ou.canonical_key(left) == ou.canonical_key(right)
+        # one pass over many diagrams is the two-argument fold, exactly
+        assert ou.compose(a, b, c) == left
+        assert ou.compose(a) == ou.tidy(a)
 
 
 def test_compose_strand_mismatch():
     with pytest.raises(ou.StrandCountMismatch):
         ou.compose(ou.identity_diagram(2), ou.identity_diagram(3))
+    with pytest.raises(ou.StrandCountMismatch):
+        ou.compose(ou.identity_diagram(2), ou.identity_diagram(2), ou.identity_diagram(3))
 
 
 def test_crossing_number_examples():

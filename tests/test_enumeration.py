@@ -209,6 +209,8 @@ def test_representatives_file_roundtrip(tab):
         "welded 3 1 1 abc",  # unknown kind
         "virtual 3",  # short line
         "classical 3 1 \u00b9 abc",  # not ASCII
+        "virtual 3 2 s1,2 0123456789ab",  # first length is not the word's length
+        "virtual 3 1 s1,2",  # no key hash: the last letter would be read as one
     ],
 )
 def test_read_representatives_errors_name_the_line(tmp_path, line):
@@ -266,6 +268,12 @@ def test_fibonacci_check_small():
     assert ou.fibonacci_check(4)
     assert ou.fibonacci_check(3, counts=(1, 4, 12, 30))
     assert not ou.fibonacci_check(3, counts=(1, 4, 12, 31))
+
+
+@pytest.mark.parametrize("counts", [(), (1, 4), (1, 4, 12)])
+def test_fibonacci_check_too_few_counts(counts):
+    with pytest.raises(ValueError):
+        ou.fibonacci_check(3, counts)
 
 
 def test_worst_braid_bounds_and_determinism():
