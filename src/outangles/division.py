@@ -2,10 +2,13 @@
 
 A generator ``g`` divides a reduced OU tangle ``T`` when prepending ``g``'s
 inverse and renormalizing lowers the crossing number; the renormalized
-diagram is the quotient.  Repeatedly dividing extracts a maximal braid and
-leaves a unique indivisible core, independent of which divisor is taken at
-each step.  Recording every divisor descent from ``T`` gives its extraction
-graph: a finite DAG with one source, one sink, and generator-labelled edges.
+diagram is the quotient.  ``s(i,j)^sigma`` can divide ``T`` only if strand
+``j``'s first under mark belongs to a crossing of sign ``sigma`` whose over
+mark is on strand ``i``, so each strand names at most one candidate.
+Repeatedly dividing extracts a maximal braid and leaves a unique
+indivisible core, independent of which divisor is taken at each step.
+Recording every divisor descent from ``T`` gives its extraction graph: a
+finite DAG with one source, one sink, and generator-labelled edges.
 Candidate quotients and graph nodes are rewriting scratch states: a node is
 stored as its canonical key and ``xi``, and its diagram is
 ``parse(key.decode("ascii"))``.  Only returned results (a ``quotient``, the
@@ -18,9 +21,9 @@ import random
 from dataclasses import dataclass, field
 
 # bench/tracer.py CONSUMERS pins compose, generator_diagram, ou_normal_form and canonical_key here
-from .braid import BraidGenerator, VirtualBraidWord, generator_diagram, vpb_generators  # noqa: F401
+from .braid import BraidGenerator, VirtualBraidWord, generator_diagram  # noqa: F401
 from .diagram import Diagram, canonical_key, compose, key_hash  # noqa: F401
-from .errors import NotADivisor, NotReducedOU, OuError
+from .errors import NotADivisor, NotReducedOU, OuError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, _Scratch, is_ou, is_reduced, ou_normal_form  # noqa: F401
 
 
@@ -50,21 +53,79 @@ def _quotient_or_none(T: _Scratch, g: BraidGenerator, max_iters: int) -> _Scratc
 
 
 def _divisor_quotients(T: _Scratch, max_iters: int) -> list[tuple[BraidGenerator, _Scratch]]:
-    """All ``(g, quotient)`` pairs over the ``2n(n-1)`` generators, in
-    generator order.  ``T`` must be reduced OU."""
-    # A generator onto a strand k of T with no mark (k = g.i or g.j) never
-    # divides.  Delete strand k's crossings from each diagram in the rewriting
-    # of g-inverse stacked before T: each step maps to the same diagram, the
-    # same R1/R2 removal or glide, or an inserted R2 pair (from a glide at a
-    # slot on k whose two new crossings miss k).  The deleted start is T, so
-    # by confluence the deleted end, which is OU, has normal form T, and T
-    # has at most its crossings: xi(g-inverse T) >= c.
-    crossed = {s for s, marks in enumerate(T.strands, start=1) if marks}
-    return [
-        (g, q)
-        for g in vpb_generators(len(T.strands))
-        if g.i in crossed and g.j in crossed and (q := _quotient_or_none(T, g, max_iters)) is not None
-    ]
+    """All ``(g, quotient)`` pairs, in generator order.  ``T`` must be
+    reduced OU.  One generator per strand ``j`` is tried: the crossing that
+    holds ``j``'s first under mark, read as ``s(i,j)`` with ``i`` its over
+    strand and with its sign, when ``i != j``."""
+    # No other generator divides.  Prepend a crossing c to a reduced OU
+    # state S, as _Scratch.prepend_crossing does: its over mark o heads
+    # strand i, its under mark u heads strand j != i.  Call the over marks of
+    # S on strand j y_1 .. y_k, and the crossings of S whose over mark is on
+    # strand i i-crossings.  A glide at (u, y) puts a left and a right over
+    # mark right beside o, of the signs of y and -y, and two under marks
+    # right beside the anchor y ^ 2, the one of sign -sign(c) on its left.
+    # (A) Strand j never gains an over mark, and new under marks go beside
+    #     anchors, under marks of S.  So u is the only under mark ahead of an
+    #     over mark on strand j, the walk's glides swap u with y_1 .. y_k in
+    #     turn, and if c survives, u ends as strand j's first under mark.
+    # (B) If c is removed, the walk ends below xi(S).  Left of o lie only
+    #     left marks, and right of o the right marks, newest nearest, then
+    #     strand i's over marks of S, then under marks.  Each anchor is used
+    #     once, and nothing is put between it and its two new marks.
+    #     Claim: until c goes, every removal takes a right crossing, by an R1
+    #     or by an R2 with an i-crossing.  Then left crossings, the y's and
+    #     the anchors stay.  Only the outermost right mark meets a mark other
+    #     than o and right marks, so right crossings go oldest first; only
+    #     the first over mark of S on strand i meets a right mark, so
+    #     i-crossings go in strand-i order.  A removed i-crossing's under
+    #     mark was next to that of its right crossing, which is right beside
+    #     that one's anchor.  Take the first removal of another kind that
+    #     leaves c.  A left mark's neighbours are left marks and o, and a
+    #     right mark's over-mark neighbours are right marks and i-crossings,
+    #     so it is one of two:
+    #     * An R2 of two left or of two right crossings.  They come from
+    #       glides t and t + 1, so y_t, y_(t+1) are adjacent in S, of
+    #       opposite signs.  Their under marks face each other between the
+    #       anchors.  A mark of S that left that gap went beside a right
+    #       crossing's under mark, so beside an anchor that is an end of the
+    #       gap, and on its facing side; but those sides hold the pair.  So
+    #       the anchors were adjacent in S too: an R2 of S.
+    #     * An R1 or an R2 of crossings of S.  Marks of S left a gap between
+    #       two of its marks.  An over mark of S on strand i goes only as the
+    #       first one left there, never from between two marks of S, so the
+    #       marks that left were under marks, each beside a right crossing's
+    #       anchor at an end of the gap.  So that end is some y ^ 2.  An R1
+    #       of y is split by u, which lies after y and before y ^ 2.  In an
+    #       R2 the other crossing is the y before or after it on strand j,
+    #       and the gap lies between their anchors.  Both facing new marks
+    #       went, so both are right marks.  An R1 would need a right mark
+    #       after an under mark of S, so each went by an R2 with one of the
+    #       gap's marks of S, and those were all of them.  These two
+    #       i-crossings went one after the other, so they were adjacent over
+    #       and under in S, with the opposite signs of the two y's: an R2.
+    #     c's marks lie on different strands, so c goes by an R2 with some
+    #     crossing d, of sign -sign(c), whose under mark follows u, so u has
+    #     passed y_1 .. y_k.  If d were a left or right crossing, it would be
+    #     the newest of its side, from y_k, with its under mark just before
+    #     y_k ^ 2 on strand j.  Strand j's under marks of S ahead of y_k ^ 2
+    #     could not have left (their anchor would lie among them or face
+    #     them from y_k ^ 2, where d is), so y_k and y_k ^ 2 were adjacent in
+    #     S: an R1.  So d is an i-crossing, and every right crossing went
+    #     first, by an R2 with another i-crossing, since d's over mark keeps
+    #     right marks from meeting their under marks.  After c and d go,
+    #     xi(S) + 1 + 2k - 2k - 2 crossings are left, strand j has no slot,
+    #     and the walk ends with removals only.
+    # If g = s(i,j)^sigma divides T with quotient q, prepending g to q gives
+    # NF(g q) = T with xi(T) > xi(q).  By (B) g's crossing survives, by (A)
+    # it heads strand j's under marks, and NF is unique.
+    where = T.strand_of()
+    candidates = []
+    for j, marks in enumerate(T.strands, start=1):
+        u = next((mk for mk in marks if not mk & 2), None)
+        if u is not None and (i := where[u ^ 2] + 1) != j:
+            candidates.append(BraidGenerator(i, j, 1 if u & 1 else -1))
+    candidates.sort(key=BraidGenerator.sort_key)
+    return [(g, q) for g in candidates if (q := _quotient_or_none(T, g, max_iters)) is not None]
 
 
 def divisors(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> list[BraidGenerator]:
@@ -76,8 +137,11 @@ def quotient(T: Diagram, g: BraidGenerator, max_iters: int = DEFAULT_MAX_ITERS) 
     """The reduced OU form of ``g``-inverse stacked before ``T``.
 
     Defined only when ``g`` divides ``T``; otherwise raises
-    :class:`NotADivisor`.
+    :class:`NotADivisor`.  A ``g`` naming a strand beyond ``T.n`` raises
+    :class:`StrandCountMismatch`.
     """
+    if max(g.i, g.j) > T.n:
+        raise StrandCountMismatch(f"{g.token()} is not a generator on {T.n} strands")
     q = _quotient_or_none(_require_reduced_ou(T), g, max_iters)
     if q is None:
         raise NotADivisor(f"{g.token()} does not lower the crossing number")

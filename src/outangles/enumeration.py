@@ -14,6 +14,7 @@ words one level (one letter) at a time through :func:`_children`.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -260,6 +261,8 @@ def read_representatives(path: str | os.PathLike):
                 raise ParseError(str(exc), line_no) from None
             if length != str(len(word.letters)):
                 raise ParseError(f"first length {length!r} is not the word's length {len(word.letters)}", line_no)
+            if not re.fullmatch("[0-9a-f]{12}", parts[-1]):
+                raise ParseError(f"key hash {parts[-1]!r} is not 12 lowercase hex digits", line_no)
             yield word, len(word.letters), parts[-1]
 
 

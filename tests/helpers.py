@@ -345,6 +345,32 @@ def random_gauss(rng: random.Random, n: int, c: int) -> Diagram:
     return Diagram(n, tuple(crossings), tuple(eos))
 
 
+def random_reduced_ou(rng: random.Random, n: int, c: int) -> Diagram:
+    """A random reduced OU tangle with at most ``c`` crossings on ``n``
+    strands, built mark by mark: each crossing's over mark goes at a random
+    place among its strand's over marks and its under mark among its
+    strand's under marks, on two random strands that may be one; then
+    :func:`oracle_reduce_r12` removes R1 and R2 patterns, which keeps every
+    strand over-then-under."""
+    overs: list[list[int]] = [[] for _ in range(n)]
+    unders: list[list[int]] = [[] for _ in range(n)]
+    for cid in range(c):
+        for marks in (overs[rng.randrange(n)], unders[rng.randrange(n)]):
+            marks.insert(rng.randint(0, len(marks)), cid)
+    keys: dict[tuple[int, bool], tuple[int, int]] = {}
+    eos = []
+    k = 1
+    for a in range(1, n + 1):
+        for over, marks in ((True, overs[a - 1]), (False, unders[a - 1])):
+            for cid in marks:
+                keys[(cid, over)] = (a, k)
+                k += 1
+        eos.append(k)
+        k += 1
+    crossings = tuple(Crossing(rng.choice((1, -1)), keys[(cid, True)], keys[(cid, False)]) for cid in range(c))
+    return outangles.tidy(oracle_reduce_r12(Diagram(n, crossings, tuple(eos))))
+
+
 def random_vpb_word(rng: random.Random, n: int, length: int) -> VirtualBraidWord:
     letters = []
     for _ in range(length):

@@ -6,6 +6,7 @@ from helpers import (
     all_path_words,
     all_two_crossing_diagrams_two_strands,
     is_bipartite_undirected,
+    random_reduced_ou,
     random_vpb_word,
     twist_word,
 )
@@ -43,6 +44,9 @@ def test_quotient_examples():
     assert ou.quotient(one, BraidGenerator(1, 2, 1)) == ou.identity_diagram(2)
     with pytest.raises(ou.NotADivisor):
         ou.quotient(one, BraidGenerator(2, 1, 1))
+    for g in (BraidGenerator(4, 1, 1), BraidGenerator(1, 4, -1)):
+        with pytest.raises(ou.StrandCountMismatch, match=f"{g.token()}.* 3 "):
+            ou.quotient(ou.ch(ou.parse_vpb("vpb 3: s1,2 s2,3")), g)
 
 
 def test_twist_roll_division_chain():
@@ -294,7 +298,7 @@ def test_division_matches_brute_force_with_crossing_free_strands():
     assert skipped >= 8
 
 
-def test_divisors_skip_generators_onto_crossing_free_strands(monkeypatch):
+def test_divisors_try_the_generator_each_first_under_mark_names(monkeypatch):
     calls = []
     inner = ou.division._quotient_or_none
 
@@ -305,8 +309,8 @@ def test_divisors_skip_generators_onto_crossing_free_strands(monkeypatch):
     monkeypatch.setattr(ou.division, "_quotient_or_none", counting)
     w, _ = ou.classical_to_vpb(ou.parse_classical("br 30: 1 3"))
     ou.divisors(ou.ch(w))
-    # each tried generator runs between two of the 4 crossed strands
-    assert len(calls) == 4 * 3 * 2
+    # strands 2 and 4 each hold one under mark; the other 28 strands hold none
+    assert calls == [BraidGenerator(1, 2, 1), BraidGenerator(3, 4, 1)]
 
 
 def _half_twist(n):
@@ -365,20 +369,17 @@ def test_division_runs_no_cascade_check(monkeypatch):
         assert ou.to_edge_lines(ou.extraction_graph(T)) == lines
 
 
-def test_quotient_glides_once_per_over_mark_of_its_under_strand(monkeypatch):
+def test_quotient_glides_once_per_over_mark_of_its_under_strand():
     # a candidate quotient's glide chain walks the prepended under mark right
     # past the over marks of strand j, one glide each, so a cap of exactly
-    # that many is enough
-    candidates = []
-    inner = ou.division._quotient_or_none
-
-    def recording(T, g, max_iters):
-        candidates.append((T.copy(), g))
-        return inner(T, g, max_iters)
-
-    monkeypatch.setattr(ou.division, "_quotient_or_none", recording)
-    ou.extraction_graph(_half_twist(5))
+    # that many is enough; tried for every generator at every node
+    candidates = [
+        (ou.rewrite._Scratch.from_diagram(ou.parse(key.decode("ascii"))), g)
+        for key in ou.extraction_graph(_half_twist(5)).nodes
+        for g in ou.vpb_generators(5)
+    ]
     assert len(candidates) > 1000
+    inner = ou.division._quotient_or_none
     gliding = 0
     for T, g in candidates:
         k = sum(1 for mk in T.strands[g.j - 1] if mk & 2)
@@ -392,6 +393,44 @@ def test_quotient_glides_once_per_over_mark_of_its_under_strand(monkeypatch):
             with pytest.raises(ou.CapExceeded):
                 inner(T, g, k - 1)
     assert gliding > len(candidates) // 2
+
+
+def _filter_cases():
+    """Every node of the 5-strand half twist's extraction graph, then 300
+    seeded random reduced OU tangles on 2 to 5 strands, many of them with
+    self-crossings."""
+    rng = random.Random(5)
+    nodes = [ou.parse(key.decode("ascii")) for key in ou.extraction_graph(_half_twist(5)).nodes]
+    return nodes + [random_reduced_ou(rng, rng.randrange(2, 6), rng.randrange(0, 10)) for _ in range(300)]
+
+
+def test_divisors_match_all_generator_brute_force():
+    cases = _filter_cases()
+    assert sum(any(c.over[0] == c.under[0] for c in d.crossings) for d in cases) >= 100
+    found = 0
+    for d in cases:
+        divs = ou.divisors(d)
+        assert divs == [g for g, _ in _brute_quotients(d)]
+        found += len(divs)
+    assert found >= 300
+
+
+def test_prepended_crossing_is_removed_exactly_when_the_count_drops():
+    # lemma (B) of division._divisor_quotients, and (A): a prepended crossing
+    # that survives holds the first under mark of its under strand
+    removed = 0
+    for d in _filter_cases():
+        for g in ou.vpb_generators(d.n):
+            q = ou.rewrite._Scratch.from_diagram(d)
+            new = q._next
+            q.prepend_crossing(g.i, g.j, g.sign, ou.rewrite.DEFAULT_MAX_ITERS)
+            ids = [mk >> 2 for mk in q.marks()]
+            assert (new not in ids) == (q.crossing_count() < len(d.crossings))
+            if new in ids:
+                assert next(mk >> 2 for mk in q.strands[g.j - 1] if not mk & 2) == new
+            else:
+                removed += 1
+    assert removed >= 300
 
 
 def test_prepend_matches_reference_normal_form():

@@ -211,11 +211,12 @@ def test_representatives_file_roundtrip(tab):
         "classical 3 1 \u00b9 abc",  # not ASCII
         "virtual 3 2 s1,2 0123456789ab",  # first length is not the word's length
         "virtual 3 1 s1,2",  # no key hash: the last letter would be read as one
+        "virtual 3 1 s1,2 s1,2",  # a key hash is 12 lowercase hex digits
     ],
 )
 def test_read_representatives_errors_name_the_line(tmp_path, line):
     path = tmp_path / "reps.txt"
-    path.write_text("virtual 3 0 abc\n" + line + "\n", encoding="utf-8")
+    path.write_text("virtual 3 0 0123456789ab\n" + line + "\n", encoding="utf-8")
     with pytest.raises(ou.ParseError) as exc:
         list(ou.read_representatives(path))
     assert exc.value.line == 2
