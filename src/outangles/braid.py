@@ -102,6 +102,8 @@ class ClassicalBraidWord:
 
 def generator_diagram(n: int, g: BraidGenerator) -> Diagram:
     """The one-crossing diagram of a generator, tidied."""
+    if max(g.i, g.j) > n:
+        raise StrandCountMismatch(f"{g.token()} is not a generator on {n} strands")
     strands: list[list[int]] = [[] for _ in range(n)]
     strands[g.i - 1].append(_mark(0, True, g.sign))
     strands[g.j - 1].append(_mark(0, False, g.sign))

@@ -184,7 +184,8 @@ def _run(args: argparse.Namespace, max_iters: int) -> int:
         return 0
 
     if args.command == "fibcheck":
-        if enumeration.fibonacci_check(args.m):
+        counts = enumeration.tabulate(3, args.m, "classical", max_iters=max_iters).count_exactly
+        if enumeration.fibonacci_check(args.m, counts):
             print(f"ok m=1..{args.m}")
             return 0
         print(f"mismatch within m=1..{args.m}")

@@ -9,10 +9,10 @@ Repeatedly dividing extracts a maximal braid and leaves a unique
 indivisible core, independent of which divisor is taken at each step.
 Recording every divisor descent from ``T`` gives its extraction graph: a
 finite DAG with one source, one sink, and generator-labelled edges.
-Candidate quotients and graph nodes are rewriting scratch states: a node is
-stored as its canonical key and ``xi``, and its diagram is
-``parse(key.decode("ascii"))``.  Only returned results (a ``quotient``, the
-``peel`` core) are built as ``Diagram`` objects.
+Candidate quotients and graph nodes are mirrored scratch states, on which
+a prepend is a push (:meth:`_Scratch.mirrored`).  A node is stored as its
+key and ``xi``, and its diagram is ``parse(key.decode("ascii"))``.  Only
+the results, a ``quotient`` and the ``peel`` core, are built as ``Diagram``s.
 """
 
 from __future__ import annotations
@@ -24,41 +24,38 @@ from dataclasses import dataclass, field
 from .braid import BraidGenerator, VirtualBraidWord, generator_diagram  # noqa: F401
 from .diagram import Diagram, canonical_key, compose, key_hash  # noqa: F401
 from .errors import NotADivisor, NotReducedOU, OuError, StrandCountMismatch
-from .rewrite import DEFAULT_MAX_ITERS, _Scratch, is_ou, is_reduced, ou_normal_form  # noqa: F401
+from .rewrite import DEFAULT_MAX_ITERS, _Scratch, ou_normal_form  # noqa: F401
 
 
 def _require_reduced_ou(T: Diagram) -> _Scratch:
-    if not is_ou(T):
+    """The mirror image of ``T``, checked to be reduced OU."""
+    scratch = _Scratch.from_diagram(T)
+    if scratch.uo_slots():
         raise NotReducedOU("diagram is not in over-then-under form")
-    if not is_reduced(T):
+    scratch.reduce(scratch.marks())
+    if scratch.crossing_count() != len(T.crossings):
         raise NotReducedOU("diagram admits an R1 or R2 reduction")
-    return _Scratch.from_diagram(T)
+    return scratch.mirrored()
 
 
 def _quotient_or_none(T: _Scratch, g: BraidGenerator, max_iters: int) -> _Scratch | None:
-    """The reduced OU form of ``g``-inverse stacked before ``T`` if it has
-    fewer crossings than ``T``, else ``None``.  ``T`` must be reduced OU.
-
-    Works on a copy, by :meth:`_Scratch.prepend_crossing`: the prepended
-    under mark walks right past strand ``j``'s over marks, and ``max_iters``
-    caps the glides of that walk.  No cascade check is run.  ``T`` is OU, so
-    it has no closed cascade path.  The new over mark heads its strand, so
-    no cascade path enters it, and the new under mark is entered only from
-    that over mark.  So a closed path would avoid the new crossing and be a
-    closed path of ``T``; glides and R1/R2 removal keep acyclicity.
-    """
+    """R of the reduced OU form of ``g``-inverse stacked before R ``T``, if it
+    has fewer crossings than ``T``, else ``None``; ``T`` is the mirror R of a
+    reduced OU state.  On a copy, the prepend is a push of the mirrored
+    crossing (:meth:`_Scratch.mirrored`), and ``max_iters`` caps its glides.
+    No cascade check is run, by the argument of :meth:`OuAccumulator.push`."""
     q = T.copy()
-    q.prepend_crossing(g.i, g.j, -g.sign, max_iters)
+    q.append_crossing(g.j, g.i, -g.sign, max_iters)
     return q if q.crossing_count() < T.crossing_count() else None
 
 
 def _divisor_quotients(T: _Scratch, max_iters: int) -> list[tuple[BraidGenerator, _Scratch]]:
-    """All ``(g, quotient)`` pairs, in generator order.  ``T`` must be
-    reduced OU.  One generator per strand ``j`` is tried: the crossing that
-    holds ``j``'s first under mark, read as ``s(i,j)`` with ``i`` its over
-    strand and with its sign, when ``i != j``."""
+    """All ``(g, quotient)`` pairs, in generator order, of the mirror ``T`` of
+    a reduced OU state; the quotients are mirrors too.  One generator per
+    strand ``j`` is tried: the crossing that holds ``T``'s last over mark on
+    ``j``, as ``s(i,j)^sign`` with ``i`` its under strand, when ``i != j``."""
     # No other generator divides.  Prepend a crossing c to a reduced OU
-    # state S, as _Scratch.prepend_crossing does: its over mark o heads
+    # state S (computed as a push on the mirror): its over mark o heads
     # strand i, its under mark u heads strand j != i.  Call the over marks of
     # S on strand j y_1 .. y_k, and the crossings of S whose over mark is on
     # strand i i-crossings.  A glide at (u, y) puts a left and a right over
@@ -121,9 +118,9 @@ def _divisor_quotients(T: _Scratch, max_iters: int) -> list[tuple[BraidGenerator
     where = T.strand_of()
     candidates = []
     for j, marks in enumerate(T.strands, start=1):
-        u = next((mk for mk in marks if not mk & 2), None)
-        if u is not None and (i := where[u ^ 2] + 1) != j:
-            candidates.append(BraidGenerator(i, j, 1 if u & 1 else -1))
+        o = next((mk for mk in reversed(marks) if mk & 2), None)
+        if o is not None and (i := where[o ^ 2] + 1) != j:
+            candidates.append(BraidGenerator(i, j, 1 if o & 1 else -1))
     candidates.sort(key=BraidGenerator.sort_key)
     return [(g, q) for g in candidates if (q := _quotient_or_none(T, g, max_iters)) is not None]
 
@@ -145,7 +142,7 @@ def quotient(T: Diagram, g: BraidGenerator, max_iters: int = DEFAULT_MAX_ITERS) 
     q = _quotient_or_none(_require_reduced_ou(T), g, max_iters)
     if q is None:
         raise NotADivisor(f"{g.token()} does not lower the crossing number")
-    return q.to_diagram()
+    return q.mirrored().to_diagram()
 
 
 def peel(
@@ -164,7 +161,7 @@ def peel(
     while pairs := _divisor_quotients(current, max_iters):
         g, current = pairs[0] if rng is None else rng.choice(pairs)
         letters.append(g)
-    return VirtualBraidWord(T.n, tuple(letters)), current.to_diagram()
+    return VirtualBraidWord(T.n, tuple(letters)), current.mirrored().to_diagram()
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,7 @@ def extraction_graph(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> Extracti
     divisor sets are effectively memoized per key.
     """
     start = _require_reduced_ou(T)
-    source = start.canonical_text().encode("ascii")
+    source = start.mirrored().canonical_text().encode("ascii")
     nodes: dict[bytes, int] = {source: start.crossing_count()}
     edges: list[tuple[bytes, BraidGenerator, bytes]] = []
     sinks: list[bytes] = []  # each node is expanded once, so these are the keys with no out-edge
@@ -215,7 +212,7 @@ def extraction_graph(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> Extracti
             if not pairs:
                 sinks.append(key)
             for g, q in pairs:
-                qkey = q.canonical_text().encode("ascii")
+                qkey = q.mirrored().canonical_text().encode("ascii")
                 if qkey not in nodes:
                     nodes[qkey] = q.crossing_count()
                     next_frontier.append((qkey, q))

@@ -25,11 +25,11 @@ One walk fixes the intervals (:meth:`_Scratch._walk`).  It glides at one
 strand's under-then-over slots in position order, and after each glide it
 steps back to the left of the over mark the glide moved; so every glide is
 at the first slot of the state in (strand, position) order.  A diagram from
-outside is walked strand by strand.  A crossing added at the ends of a
-reduced OU state (a braid accumulator's push, a division candidate's
-prepend) can make slots on one strand only, which is walked from beside the
-new mark.  On the tested tables a push glides once per under mark of its
-over strand, a prepend once per over mark of its under strand.
+outside is walked strand by strand.  A crossing pushed at the tails of a
+reduced OU state (by the braid accumulator, and by division on a mirror
+image, :meth:`_Scratch.mirrored`) can make slots on one strand only, which
+is walked from beside the new mark.  On the tested tables a push glides
+once per under mark of its over strand.
 
 A glide replaces the two crossings ``a = X_{s1}[i1, j1]`` and
 ``b = X_{s2}[i2, j2]`` around a under-then-over interval ``(j1, i2)`` with::
@@ -50,7 +50,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import Diagram, _assemble, _canonical_text, _mark, _strand_sequences
-from .errors import CapExceeded, CyclicDiagram, InvalidDiagram, SameCrossing
+from .errors import CapExceeded, CyclicDiagram, InvalidDiagram, SameCrossing, StrandCountMismatch
 
 DEFAULT_MAX_ITERS = 1 << 24
 
@@ -86,10 +86,6 @@ class _Scratch:
     def from_diagram(cls, d: Diagram) -> "_Scratch":
         return cls(_strand_sequences(d), len(d.crossings))
 
-    @classmethod
-    def identity(cls, n: int) -> "_Scratch":
-        return cls([[] for _ in range(n)], 0)
-
     def copy(self) -> "_Scratch":
         return _Scratch([list(s) for s in self.strands], self._next)
 
@@ -115,21 +111,20 @@ class _Scratch:
         under.append(mk ^ 2)
         self._walk(i - 1, len(over) - 2, self.reduce(dirty), 0, max_iters)
 
-    def prepend_crossing(self, i: int, j: int, sign: int, max_iters: int) -> None:
-        """Add one crossing at the heads of strands ``i`` and ``j`` (1-based)
-        of a reduced OU state and bring it back to reduced OU form.
-
-        The two new marks are settled, then strand ``j`` is walked from 0.
-        Every other strand stays OU: strand ``i`` gains an over mark at its
-        head.  On strand ``j`` the new under mark, if R1/R2 removal kept it,
-        is the first mark, so it heads the only possible slot.  ``max_iters``
-        caps the glides of the walk.
-        """
-        mk = _mark(self._next, True, sign)
-        self._next += 1
-        self.strands[i - 1].insert(0, mk)
-        self.strands[j - 1].insert(0, mk ^ 2)
-        self._walk(j - 1, 0, self.reduce((mk, mk ^ 2)), 0, max_iters)
+    def mirrored(self) -> "_Scratch":
+        """The mirror image R: strands reversed, passes swapped, signs and
+        ids kept.  R is an involution, keeps OU strands OU, and turns a
+        crossing stacked before a state into its image stacked after the
+        mirror.  NF(R D) = R NF(D): R maps R1s to R1s, R2s to R2s, and the
+        UO slot ``(x, y)`` to ``(R y, R x)``, where R a = ``X_{s1}[-j1, -i1]``
+        and R b = ``X_{s2}[-j2, -i2]`` glide (module docstring) to R of the
+        glide's output at ``(x, y)``: ``X_{s1}[-i2, -i1]``,
+        ``X_{s2}[-j2, -j1]``, ``X_{s1*s2}[-j2 - s2/3, -i1 + s1/3]`` and
+        ``X_{-s1*s2}[-j2 + s2/3, -i1 - s1/3]``.  R reverses every edge of
+        :meth:`cascade_edges`, so it runs a closed cascade path backwards and
+        keeps acyclicity.  So R NF(D) is reduced OU and equivalent to R D: by
+        uniqueness, NF(R D)."""
+        return _Scratch([[mk ^ 2 for mk in reversed(s)] for s in self.strands], self._next)
 
     # -- full scans ---------------------------------------------------------
 
@@ -368,7 +363,7 @@ class OuAccumulator:
     __slots__ = ("_scratch", "max_iters")
 
     def __init__(self, n: int, max_iters: int = DEFAULT_MAX_ITERS):
-        self._scratch = _Scratch.identity(n)
+        self._scratch = _Scratch([[] for _ in range(n)], 0)
         self.max_iters = max_iters
 
     def copy(self) -> "OuAccumulator":
@@ -378,11 +373,10 @@ class OuAccumulator:
         return dup
 
     def push(self, i: int, j: int, sign: int) -> None:
-        """Multiply by the generator ``s(i,j)^sign`` on the right.
-
-        :meth:`_Scratch.append_crossing` adds the crossing and walks strand
-        ``i``: the appended over mark moves left past strand ``i``'s under
-        marks, one glide each.  ``max_iters`` caps the glides of that walk.
+        """Multiply by the generator ``s(i,j)^sign`` on the right, by
+        :meth:`_Scratch.append_crossing` with the glide cap ``max_iters``.
+        Raises :class:`StrandCountMismatch` for a strand outside ``1 .. n``,
+        and ``ValueError`` for ``i == j`` or a sign other than 1 and -1.
         No cascade check is run: the state before the push is reduced OU,
         and on an OU strand a cascade path that has dropped once meets only
         under marks, so it cannot close.  The appended over mark drops only
@@ -391,6 +385,11 @@ class OuAccumulator:
         acyclicity.  After a push that raised, the state is not reduced and
         the accumulator must not be reused.
         """
+        n = len(self._scratch.strands)
+        if not 0 < i <= n >= j > 0:
+            raise StrandCountMismatch(f"s{i},{j} is not a generator on {n} strands")
+        if i == j or sign not in (1, -1):
+            raise ValueError(f"invalid generator s{i},{j} of sign {sign!r}")
         self._scratch.append_crossing(i, j, sign, self.max_iters)
 
     def crossing_count(self) -> int:

@@ -235,3 +235,9 @@ def test_conjugate_power_identity_under_both_deciders():
         right = ClassicalBraidWord(3, (-1,) + (2,) * k + (1,))
         assert ou.classical_braids_equal(left, right)
         assert burau_matrix(3, left.letters) == burau_matrix(3, right.letters)
+
+
+def test_generator_diagram_rejects_a_strand_beyond_n():
+    for g in (BraidGenerator(4, 1, 1), BraidGenerator(1, 4, -1)):
+        with pytest.raises(ou.StrandCountMismatch, match=f"{g.token()}.* 3 "):
+            ou.generator_diagram(3, g)

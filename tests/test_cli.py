@@ -174,6 +174,16 @@ def test_fibcheck_command(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_fibcheck_obeys_the_glide_cap(capsys, monkeypatch):
+    # tabulating m = 1 .. 5 needs glides, so a cap of 0 stops it as it stops
+    # tabulate, by flag or by environment
+    assert main(["--max-iters", "0", "fibcheck", "-m", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: no OU form after 0 glide moves")
+    monkeypatch.setenv("OU_MAX_ITERS", "0")
+    assert main(["fibcheck", "-m", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["tabulate", "--kind", "nonsense", "-n", "2", "-m", "1"])

@@ -369,12 +369,22 @@ def test_division_runs_no_cascade_check(monkeypatch):
         assert ou.to_edge_lines(ou.extraction_graph(T)) == lines
 
 
+def _prepended(d, i, j, sign, max_iters):
+    """The scratch state of ``s(i,j)^sign`` prepended to the reduced OU
+    diagram ``d``, as division computes it: the mirrored crossing pushed on
+    the mirror of ``d``, then mirrored back."""
+    q = ou.rewrite._Scratch.from_diagram(d).mirrored()
+    q.append_crossing(j, i, sign, max_iters)
+    return q.mirrored()
+
+
 def test_quotient_glides_once_per_over_mark_of_its_under_strand():
-    # a candidate quotient's glide chain walks the prepended under mark right
-    # past the over marks of strand j, one glide each, so a cap of exactly
-    # that many is enough; tried for every generator at every node
+    # a candidate quotient's glide chain walks the pushed over mark left past
+    # the mirror's under marks of strand j (the over marks of strand j before
+    # mirroring), one glide each, so a cap of exactly that many is enough;
+    # tried for every generator at every node
     candidates = [
-        (ou.rewrite._Scratch.from_diagram(ou.parse(key.decode("ascii"))), g)
+        (ou.rewrite._Scratch.from_diagram(ou.parse(key.decode("ascii"))).mirrored(), g)
         for key in ou.extraction_graph(_half_twist(5)).nodes
         for g in ou.vpb_generators(5)
     ]
@@ -382,7 +392,7 @@ def test_quotient_glides_once_per_over_mark_of_its_under_strand():
     inner = ou.division._quotient_or_none
     gliding = 0
     for T, g in candidates:
-        k = sum(1 for mk in T.strands[g.j - 1] if mk & 2)
+        k = sum(1 for mk in T.strands[g.j - 1] if not mk & 2)
         expect = inner(T, g, ou.rewrite.DEFAULT_MAX_ITERS)
         got = inner(T, g, k)
         assert (got is None) == (expect is None)
@@ -421,9 +431,8 @@ def test_prepended_crossing_is_removed_exactly_when_the_count_drops():
     removed = 0
     for d in _filter_cases():
         for g in ou.vpb_generators(d.n):
-            q = ou.rewrite._Scratch.from_diagram(d)
-            new = q._next
-            q.prepend_crossing(g.i, g.j, g.sign, ou.rewrite.DEFAULT_MAX_ITERS)
+            new = len(d.crossings)  # the id the prepended crossing gets
+            q = _prepended(d, g.i, g.j, g.sign, ou.rewrite.DEFAULT_MAX_ITERS)
             ids = [mk >> 2 for mk in q.marks()]
             assert (new not in ids) == (q.crossing_count() < len(d.crossings))
             if new in ids:
@@ -434,7 +443,7 @@ def test_prepended_crossing_is_removed_exactly_when_the_count_drops():
 
 
 def test_prepend_matches_reference_normal_form():
-    # a prepend's walk leaves the normal form of the generator's inverse
+    # a prepend leaves the normal form of the generator's inverse
     # stacked before the node, for every generator and not only divisors:
     # on the four fixed starts the oracle reference's, on the random ones
     # ou_normal_form's, which test_normal_form_matches_full_scan_reference
@@ -447,8 +456,7 @@ def test_prepend_matches_reference_normal_form():
         for key in g.nodes:
             node = ou.parse(key.decode("ascii"))
             for gen in ou.vpb_generators(T.n):
-                walked = ou.rewrite._Scratch.from_diagram(node)
-                walked.prepend_crossing(gen.i, gen.j, -gen.sign, 1 << 20)
+                walked = _prepended(node, gen.i, gen.j, -gen.sign, 1 << 20)
                 stacked = ou.compose(ou.generator_diagram(T.n, gen.inverse()), node)
                 expect = _reference_normal_form(stacked)[0] if by_oracle else ou.ou_normal_form(stacked)
                 assert walked.canonical_text() == ou.serialize(expect)

@@ -11,6 +11,7 @@ from helpers import (
     random_vpb_word,
     twist_word,
 )
+from test_golden import _corpus
 
 import outangles as ou
 from outangles import ClassicalBraidWord, Crossing, Diagram
@@ -451,6 +452,50 @@ def test_push_matches_reference_normal_form(monkeypatch):
             assert acc.canonical_text() == ou.serialize(expect)
             assert ou.is_ou(acc.to_diagram())
     assert removals[1] and removals[2]
+
+
+def test_push_rejects_a_generator_outside_its_strands():
+    acc = ou.OuAccumulator(3)
+    for i, j in ((0, 2), (2, 0), (4, 1), (1, 4), (-1, 2)):
+        with pytest.raises(ou.StrandCountMismatch, match=f"s{i},{j} .* 3 "):
+            acc.push(i, j, 1)
+    for i, j, sign in ((1, 1, 1), (3, 3, -1), (1, 2, 0), (1, 2, 2)):
+        with pytest.raises(ValueError):
+            acc.push(i, j, sign)
+    assert acc.crossing_count() == 0
+    acc.push(3, 1, -1)
+    assert acc.canonical_text() == ou.serialize(ou.ch(ou.parse_vpb("vpb 3: s3,1'")))
+
+
+def _mirror(d: Diagram) -> Diagram:
+    return ou.rewrite._Scratch.from_diagram(d).mirrored().to_diagram()
+
+
+def test_mirrored_is_an_involution():
+    moved = 0
+    for d, _ in _corpus():
+        scratch = ou.rewrite._Scratch.from_diagram(d)
+        mirror = scratch.mirrored()
+        back = mirror.mirrored()
+        assert (back.strands, back._next) == (scratch.strands, scratch._next)
+        moved += mirror.strands != scratch.strands
+    assert moved > 40
+
+
+def test_normal_form_commutes_with_the_mirror():
+    # NF(R D) = R NF(D), which division's pushes on mirror images rest on; R
+    # keeps acyclicity, so the mirror of a cyclic diagram is cyclic too
+    cyclic = 0
+    for d, _ in _corpus():
+        try:
+            expect = ou.serialize(_mirror(ou.ou_normal_form(d)))
+        except ou.CyclicDiagram:
+            cyclic += 1
+            with pytest.raises(ou.CyclicDiagram):
+                ou.ou_normal_form(_mirror(d))
+        else:
+            assert ou.serialize(ou.ou_normal_form(_mirror(d))) == expect
+    assert cyclic
 
 
 def test_cap_message_names_the_cap_on_every_path():
