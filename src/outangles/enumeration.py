@@ -8,7 +8,10 @@ redundant words; every braid keeps a representative of its minimal length.
 Distinct braids are then counted by deduplicating on the canonical key of
 the reduced OU form (joined with the end permutation for classical words,
 which need not be pure).  Both :func:`tabulate` and :func:`worst_braid` grow
-words one level (one letter) at a time through :func:`_children`.
+words one level (one letter) at a time through :func:`_children`:
+:func:`worst_braid` extends a word by the proud followers of its last
+letter, and :func:`tabulate` by the "grown" letters, those that made a new
+braid from the word's suffix one level earlier (see :func:`tabulate`).
 """
 
 from __future__ import annotations
@@ -78,24 +81,26 @@ def proud_followers(g, n: int, kind: str = "virtual"):
 
 def proud_words(n: int, m: int, kind: str = "virtual"):
     """Yield all proud words of length exactly ``m``, in lexicographic order."""
-    followers = _followers(n, kind)
+    letters = _proud_letters(n, kind)
     # one lazy generator per level, each drawing on the one before it
     words = iter([()])
     for _ in range(m):
-        words = (w + (h,) for w in words for h in followers[w[-1] if w else None])
+        words = (w + (h,) for w in words for h in letters(w))
     yield from words
 
 
-def _followers(n: int, kind: str) -> dict:
-    """Proud followers of each generator, each list built on its first
-    lookup; ``None`` (the empty word) is followed by every generator."""
+def _proud_letters(n: int, kind: str):
+    """``letters(word)``: the proud followers of ``word``'s last letter, and
+    every generator after the empty word.  Each generator's follower list is
+    built on its first lookup."""
 
     class Followers(dict):
         def __missing__(self, g):
             self[g] = proud_followers(g, n, kind)
             return self[g]
 
-    return Followers({None: generators(n, kind)})
+    followers = Followers({None: generators(n, kind)})
+    return lambda word: followers[word[-1] if word else None]
 
 
 @dataclass(frozen=True)
@@ -128,11 +133,16 @@ class TabulationReport:
         )
 
 
-def _push_letter(acc: OuAccumulator, perm: list[int], letter, kind: str) -> None:
+def _push_letter(acc: OuAccumulator, perm: list[int], letter, kind: str) -> list[int]:
+    """Push ``letter`` onto ``acc`` and return the position permutation after
+    it: a fresh list for a classical letter, and ``perm`` itself for a virtual
+    one, which moves no strand (the list is shared and never mutated)."""
     if kind == "virtual":
         acc.push(letter.i, letter.j, letter.sign)
-    else:
-        acc.push(*_classical_crossing(perm, letter))
+        return perm
+    perm = list(perm)
+    acc.push(*_classical_crossing(perm, letter))
+    return perm
 
 
 def _state_key(acc: OuAccumulator, perm: list[int], kind: str) -> bytes:
@@ -147,17 +157,17 @@ def _root(n: int, max_iters: int) -> tuple:
     return (), OuAccumulator(n, max_iters), list(range(1, n + 1))
 
 
-def _children(states, kind: str, followers: dict):
-    """The children of one level's ``(word, acc, perm)`` states: each word
-    extended by every proud follower of its last letter, in parent order then
-    generator order.  A level built from these children in that order stays
-    in lexicographic word order, letters compared in generator order."""
+def _children(states, kind: str, letters):
+    """The children of one level's ``(word, acc, perm)`` states, as
+    ``(parent word, letter, child acc, child perm)``: each word extended by
+    every letter of ``letters(word)``, in parent order then in the order
+    given, which must be generator order.  A level built from these children
+    in that order stays in lexicographic word order, letters compared in
+    generator order."""
     for word, acc, perm in states:
-        for h in followers[word[-1] if word else None]:
+        for h in letters(word):
             child = acc.copy()
-            child_perm = list(perm)
-            _push_letter(child, child_perm, h, kind)
-            yield word + (h,), child, child_perm
+            yield word, h, child, _push_letter(child, perm, h, kind)
 
 
 def tabulate(
@@ -180,6 +190,23 @@ def tabulate(
     lexicographically smallest minimal word; every prefix of that word is
     itself the smallest minimal word of its own braid, so the frontier does
     reach it.  That word is the braid's representative.
+
+    Every suffix of a representative is a representative as well, so a
+    frontier word ``w`` with ``|w| >= 2`` is extended only by the letters
+    ``h`` for which ``w[1:] h`` was a new braid one level earlier ("grown"
+    letters); shorter words are extended by every proud follower.  Proof.
+    Let ``w = a v`` be a representative.  Then ``v`` is minimal, or ``a``
+    followed by a shorter word for ``v``'s braid would be a shorter word for
+    ``w``'s braid.  And ``v`` is least among the minimal words of its braid,
+    or swapping the least one in would give a lexicographically smaller
+    minimal word for ``w``'s braid.  So a child whose suffix is no
+    representative is no representative, and the representative of its braid
+    enters the index earlier: at a shorter level, or earlier in the same
+    lexicographically ordered level.  Conversely every representative is
+    still pushed, by induction on its length: its prefix is on the frontier
+    and its suffix was new.  So counts and file bytes do not change.  Also
+    ``(w[-1], h)`` is a factor of the representative ``w[1:] h``, so every
+    grown letter is a proud follower of ``w[-1]``.
 
     ``representatives_path`` is opened for writing before the frontier
     runs, so an unwritable path fails at once.
@@ -204,22 +231,37 @@ def tabulate(
 def _braid_index(n: int, m: int, kind: str, max_keys: int | None, max_iters: int) -> dict:
     """Canonical key -> representative word of every braid with at most
     ``m`` crossings, built by the frontier described in :func:`tabulate`."""
-    followers = _followers(n, kind)
+    proud = _proud_letters(n, kind)
+    # each representative one letter shorter than the level's parents -> the
+    # letters, in generator order, whose push from it gave a new braid
+    grown: dict[tuple, list] = {}
+
+    def letters(word):
+        return grown.get(word[1:], ()) if len(word) >= 2 else proud(word)
+
     root = _root(n, max_iters)
     index = {_state_key(*root[1:], kind): ()}
     level = [root]
     for depth in range(1, m + 1):
         fresh = []
-        for word, acc, perm in _children(level, kind, followers):
+        next_grown = {}
+        parent = None
+        for word, h, acc, perm in _children(level, kind, letters):
             key = _state_key(acc, perm, kind)
             if key in index:
                 continue
             if max_keys is not None and len(index) >= max_keys:
                 raise ResourceLimit(f"more than {max_keys} stored keys")
-            index[key] = word
+            child = word + (h,)
+            index[key] = child
             if depth < m:  # the last level's states are never extended
-                fresh.append((word, acc, perm))
+                fresh.append((child, acc, perm))
+                if word is not parent:
+                    parent = word
+                    next_grown[word] = parent_grown = []
+                parent_grown.append(h)
         level = fresh
+        grown = next_grown
     return index
 
 
@@ -300,20 +342,21 @@ def worst_braid(
     _check_kind(kind)
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    followers = _followers(n, kind)
+    proud = _proud_letters(n, kind)
     level = [_root(n, max_iters)]
     for _ in range(m - 1):
         # same braid and same last letter: identical proud subtrees
         seen = set()
         fresh = []
-        for word, acc, perm in _children(level, kind, followers):
-            state = (_state_key(acc, perm, kind), word[-1])
+        for word, h, acc, perm in _children(level, kind, proud):
+            state = (_state_key(acc, perm, kind), h)
             if state not in seen:
                 seen.add(state)
-                fresh.append((word, acc, perm))
+                fresh.append((word + (h,), acc, perm))
         level = fresh
     # max() keeps the first of equal maxima, and the last level is in lex order
-    word, acc, _ = max(_children(level, kind, followers), key=lambda s: s[1].crossing_count())
+    word, h, acc, _ = max(_children(level, kind, proud), key=lambda s: s[2].crossing_count())
+    word += (h,)
     value = acc.crossing_count()
     if kind == "virtual":
         return VirtualBraidWord(n, word), value

@@ -115,8 +115,36 @@ def test_tabulate_agrees_with_definitional_route():
             counts[length] += 1
         return tuple(counts)
 
-    assert naive(3, 2, "virtual") == ou.tabulate(3, 2, "virtual").count_exactly
-    assert naive(3, 3, "classical") == ou.tabulate(3, 3, "classical").count_exactly
+    # the grown-letter pruning starts at level 4; four strands bring far
+    # commutation into its proof
+    for n, m, kind in ((3, 2, "virtual"), (3, 3, "classical"), (3, 5, "classical"), (4, 4, "classical")):
+        assert naive(n, m, kind) == ou.tabulate(n, m, kind).count_exactly
+
+
+@pytest.mark.parametrize(
+    "n, m, wasted, total",
+    [
+        # pushes that find no new braid at level 3 and up are the minimal
+        # forbidden factors of the geodesics (Sabalka's count on B3)
+        (3, 8, (0, 0, 6, 4, 8, 10, 12, 14), 2642),
+        (4, 5, (0, 0, 12, 20, 36), 1646),
+        (5, 4, (0, 0, 18, 36), 1196),
+    ],
+)
+def test_frontier_pushes_only_children_with_a_representative_suffix(monkeypatch, n, m, wasted, total):
+    pushes = []
+    inner = ou.enumeration._children
+
+    def counting(*args):
+        pushes.append(0)
+        for child in inner(*args):
+            pushes[-1] += 1
+            yield child
+
+    monkeypatch.setattr(ou.enumeration, "_children", counting)
+    report = ou.tabulate(n, m, "classical")
+    assert tuple(p - new for p, new in zip(pushes, report.count_exactly[1:])) == wasted
+    assert sum(pushes) == total
 
 
 def test_tabulate_monotone_cumulative():
