@@ -37,10 +37,11 @@ class BraidGenerator:
     sign: int
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+        # exact ints only: a bool or a float would not print as a token
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.i == self.j or self.i < 1 or self.j < 1:
-            raise ValueError(f"invalid strand pair ({self.i}, {self.j})")
+        if type(self.i) is not int or type(self.j) is not int or self.i == self.j or self.i < 1 or self.j < 1:
+            raise ValueError(f"invalid strand pair ({self.i!r}, {self.j!r})")
 
     def inverse(self) -> "BraidGenerator":
         return BraidGenerator(self.i, self.j, -self.sign)
@@ -93,7 +94,7 @@ class ClassicalBraidWord:
 
     def __post_init__(self) -> None:
         for k in self.letters:
-            if not isinstance(k, int) or k == 0 or abs(k) > self.n - 1:
+            if type(k) is not int or k == 0 or abs(k) > self.n - 1:
                 raise ValueError(f"letter {k!r} out of range for {self.n} strands")
 
     def text(self) -> str:

@@ -71,11 +71,15 @@ def proud_followers(g, n: int, kind: str = "virtual"):
     more apart, and then sort by position alone."""
     _check_kind(kind)
     if kind == "virtual":
+        if max(g.i, g.j) > n:
+            raise ValueError(f"{g.token()} is not a generator on {n} strands")
         return [
             h
             for h in vpb_generators(n)
             if h != g.inverse() and not (_commute_virtual(g, h) and h.sort_key() < g.sort_key())
         ]
+    if not 0 < abs(g) < n:
+        raise ValueError(f"letter {g!r} is not a generator on {n} strands")
     return [h for h in generators(n, "classical") if h != -g and abs(g) - abs(h) < 2]
 
 

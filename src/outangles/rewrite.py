@@ -1,13 +1,12 @@
 """Rewriting of virtual tangle diagrams to reduced over-then-under form.
 
-The pipeline: remove every kink (R1) and cancelling pair (R2); if an
-under-then-over interval is left in a diagram that comes in from outside,
-check once that it has no closed cascade path; then repeatedly fix the first
-under-then-over interval with a glide move.  For cascade-acyclic diagrams
-this terminates in the unique reduced OU representative of the diagram's
-equivalence class, independently of the order in which patterns are
-removed and intervals are fixed.  States the engine built itself (the braid
-accumulator's, and division's candidate quotients) are acyclic by
+The pipeline: remove every kink (R1) and cancelling pair (R2); check once
+that a diagram from outside has no closed cascade path; then repeatedly fix
+the first under-then-over interval with a glide move.  For cascade-acyclic
+diagrams this terminates in the unique reduced OU representative of the
+diagram's equivalence class, independently of the order in which patterns
+are removed and intervals are fixed.  States the engine built itself (the
+braid accumulator's, and division's candidate quotients) are acyclic by
 construction and are not checked.
 
 One settle loop finds every pattern by rechecking each dirty mark against
@@ -496,12 +495,12 @@ def xi(d: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> int:
 
 def _normalized(d: Diagram, max_iters: int, rng: random.Random | None = None) -> _Scratch:
     """The reduced OU form of ``d`` as a scratch state: settle every mark,
-    check for a closed cascade path if a slot is left, then walk every
-    strand from position 0 under one glide budget, or with ``rng`` glide at
-    a random slot until none is left."""
+    check for a closed cascade path (an OU state has none, as
+    :meth:`OuAccumulator.push` argues), then walk every strand from position
+    0 under one glide budget, or with ``rng`` glide at random slots."""
     scratch = _Scratch.from_diagram(d)
     where = scratch.reduce(scratch.marks())
-    if scratch.uo_slots() and not scratch.is_acyclic():
+    if not scratch.is_acyclic():
         raise CyclicDiagram("cyclic")
     glides = 0
     if rng is None:

@@ -77,6 +77,10 @@ def test_braids_equal_examples():
     assert ou.braids_equal(w, padded)
     with pytest.raises(ou.StrandCountMismatch):
         ou.braids_equal(ou.parse_vpb("vpb 2: s1,2"), ou.parse_vpb("vpb 3: s1,2"))
+    with pytest.raises(ou.StrandCountMismatch):
+        VirtualBraidWord(2, ()) * VirtualBraidWord(3, ())
+    with pytest.raises(ou.StrandCountMismatch):
+        ou.classical_braids_equal(ClassicalBraidWord(2, ()), ClassicalBraidWord(3, ()))
 
 
 def test_inverse_examples():
@@ -199,6 +203,25 @@ def test_word_parsing_and_formatting():
     for text in ("vpb 3: s\u0661,2", "vpb \u0663: s1,2", "vpb 12: s1_0,2"):
         with pytest.raises(ou.ParseError):
             ou.parse_vpb(text)
+
+
+def test_generators_and_words_take_exact_ints():
+    # a bool or a float would print a token that the parsers reject
+    bad = (
+        lambda: BraidGenerator(True, 2, 1),
+        lambda: BraidGenerator(1.0, 2, 1),
+        lambda: BraidGenerator(1, 2, True),
+        lambda: BraidGenerator(1, 2, 0),
+        lambda: VirtualBraidWord(2, (BraidGenerator(1, 3, 1),)),
+        lambda: ClassicalBraidWord(3, (True,)),
+        lambda: ClassicalBraidWord(3, (0,)),
+        lambda: ClassicalBraidWord(3, (3,)),
+    )
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+    w = VirtualBraidWord(3, (BraidGenerator(3, 1, -1),))
+    assert ou.parse_vpb(w.text()) == w
 
 
 def test_twist_words_match_parity_convention():

@@ -192,3 +192,5 @@ def test_invalid_diagram_construction():
         Diagram(2, (Crossing(2, (1, 1), (2, 2)),), (3, 4))  # bad sign
     with pytest.raises(ou.InvalidDiagram):
         Diagram(2, (Crossing(1, (3, 1), (2, 2)),), (3, 4))  # strand out of range
+    with pytest.raises(ou.InvalidDiagram, match="duplicate"):
+        Diagram(2, (Crossing(1, (1, 1), (2, 3)), Crossing(1, (1, 1), (2, 4))), (2, 5))  # duplicate key

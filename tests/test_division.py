@@ -33,6 +33,8 @@ def test_divisors_of_three_strand_half_twist():
 def test_divisors_requires_reduced_ou():
     with pytest.raises(ou.NotReducedOU):
         ou.divisors(ou.iota(ou.parse_vpb("vpb 2: s1,2 s2,1")))
+    with pytest.raises(ou.NotReducedOU, match="R1 or R2"):
+        ou.divisors(ou.iota(ou.parse_vpb("vpb 2: s1,2 s1,2'")))
     with pytest.raises(ou.NotReducedOU):
         ou.peel(ou.iota(twist_word(2)))
     with pytest.raises(ou.NotReducedOU):

@@ -30,6 +30,9 @@ def test_generators_rejects_bad_input():
         ou.generators(1, "virtual")
     with pytest.raises(ValueError):
         ou.generators(3, "welded")
+    for g, n, kind in ((0, 3, "classical"), (5, 3, "classical"), (BraidGenerator(3, 4, 1), 2, "virtual")):
+        with pytest.raises(ValueError):
+            ou.proud_followers(g, n, kind)
 
 
 def test_proud_followers_examples():

@@ -158,6 +158,8 @@ def test_glide_same_crossing_error():
     assert iv.under_crossing == iv.over_crossing
     with pytest.raises(ou.SameCrossing):
         ou.glide_once(kink, iv)
+    with pytest.raises(ou.InvalidDiagram):
+        ou.glide_once(ou.iota(ou.parse_vpb("vpb 2: s1,2 s2,1")), ou.UoInterval(1, 0, 1))
 
 
 def test_uo_interval_crossings_differ_after_reduction():
@@ -328,6 +330,27 @@ def test_accumulator_pushes_run_no_cascade_check(monkeypatch):
     for g in word.letters:
         acc.push(g.i, g.j, g.sign)
     assert acc.canonical_text() == expect
+
+
+def test_normalization_checks_every_outside_diagram_once(monkeypatch):
+    # every diagram from outside is checked once, whether or not it is
+    # already OU after R1/R2 removal
+    words = [twist_word(2), twist_word(5), ou.classical_to_vpb(ClassicalBraidWord(3, (1, 2) * 5))[0]]
+    diagrams = [ou.iota(w) for w in words] + [ou.ch(w) for w in words]
+    assert [ou.is_ou(ou.reduce_r12(d)) for d in diagrams] == [False] * 3 + [True] * 3
+    calls = []
+    inner = ou.rewrite._Scratch.is_acyclic
+
+    def counting(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(ou.rewrite._Scratch, "is_acyclic", counting)
+    for d in diagrams:
+        for normalize in (ou.ou_normal_form, ou.xi, lambda d: ou.ou_normal_form(d, rng=random.Random(3))):
+            calls.clear()
+            normalize(d)
+            assert len(calls) == 1
 
 
 def _overlap_chains() -> list[Diagram]:
