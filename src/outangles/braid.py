@@ -18,7 +18,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import Diagram, _assemble, _mark, _parse_int, canonical_key, compose, identity_diagram
+from .diagram import (
+    Diagram,
+    _assemble,
+    _check_strand_count,
+    _mark,
+    _parse_int,
+    canonical_key,
+    compose,
+    identity_diagram,
+)
 from .errors import ParseError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, ou_normal_form
 
@@ -71,6 +80,7 @@ class VirtualBraidWord:
     letters: tuple[BraidGenerator, ...]
 
     def __post_init__(self) -> None:
+        _check_strand_count(self.n)
         for g in self.letters:
             if g.i > self.n or g.j > self.n:
                 raise ValueError(f"generator {g.token()} out of range for {self.n} strands")
@@ -93,6 +103,7 @@ class ClassicalBraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_strand_count(self.n)
         for k in self.letters:
             if type(k) is not int or k == 0 or abs(k) > self.n - 1:
                 raise ValueError(f"letter {k!r} out of range for {self.n} strands")

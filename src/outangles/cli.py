@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-iters",
         type=_int_at_least(0),
         default=None,
-        help="glide iteration cap (default 16777216; OU_MAX_ITERS overrides the default)",
+        help=f"glide iteration cap (default {DEFAULT_MAX_ITERS}; OU_MAX_ITERS overrides the default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -33,6 +33,12 @@ def _check_key(value: Key, what: str) -> None:
         raise InvalidDiagram(f"{what} must be an exact rational, got {value!r}")
 
 
+def _check_strand_count(n) -> None:
+    # exact ints only: a bool or a float would not print as a strand count
+    if type(n) is not int or n < 1:
+        raise ValueError(f"strand count must be an int >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Crossing:
     """One signed crossing: ``over`` and ``under`` are ``(strand, key)`` pairs."""

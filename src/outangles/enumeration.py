@@ -1,17 +1,16 @@
-"""Proud-word enumeration and braid tabulation.
+"""Braid tabulation and proud-word enumeration.
 
-Braids with at most ``m`` crossings are enumerated as "proud" words: no
+:func:`tabulate` counts the braids with at most ``m`` crossings by growing
+one representative word per braid, one level (one letter) at a time: a word
+is extended only by its "grown" letters, those that made a new braid from
+the word's suffix one level earlier (see :func:`tabulate`).  Distinct braids
+are found by deduplicating on the canonical key of the reduced OU form
+(joined with the end permutation for classical words, which need not be
+pure).  :func:`proud_words` and :func:`worst_braid` walk "proud" words: no
 letter is immediately followed by its inverse, and adjacent commuting
 letters (disjoint strand support, or positions at distance two or more in
 the classical case) must appear in generator order.  Pride only prunes
-redundant words; every braid keeps a representative of its minimal length.
-Distinct braids are then counted by deduplicating on the canonical key of
-the reduced OU form (joined with the end permutation for classical words,
-which need not be pure).  Both :func:`tabulate` and :func:`worst_braid` grow
-words one level (one letter) at a time through :func:`_children`:
-:func:`worst_braid` extends a word by the proud followers of its last
-letter, and :func:`tabulate` by the "grown" letters, those that made a new
-braid from the word's suffix one level earlier (see :func:`tabulate`).
+redundant words; every braid keeps a proud word of its minimal length.
 """
 
 from __future__ import annotations
@@ -70,6 +69,8 @@ def proud_followers(g, n: int, kind: str = "virtual"):
     before ``g``.  Classical letters commute when their positions are two or
     more apart, and then sort by position alone."""
     _check_kind(kind)
+    if type(g) is not (BraidGenerator if kind == "virtual" else int):
+        raise ValueError(f"{g!r} is not a {kind} generator")
     if kind == "virtual":
         if max(g.i, g.j) > n:
             raise ValueError(f"{g.token()} is not a generator on {n} strands")
@@ -186,8 +187,8 @@ def tabulate(
     """Count braids with exactly ``0 .. m`` crossings on ``n`` strands.
 
     A level-synchronous frontier over distinct braids: level ``L`` holds one
-    proud word per braid first reached with ``L`` letters, and only those
-    words are extended to level ``L + 1``.  A word whose braid was already
+    word per braid first reached with ``L`` letters, and only those words
+    are extended to level ``L + 1``.  A word whose braid was already
     reached by a shorter word cannot give a braid a smaller first length, so
     each braid is counted at its minimal crossing number.  Levels stay in
     lexicographic order, so the first word seen for a braid is its
@@ -196,9 +197,9 @@ def tabulate(
     reach it.  That word is the braid's representative.
 
     Every suffix of a representative is a representative as well, so a
-    frontier word ``w`` with ``|w| >= 2`` is extended only by the letters
-    ``h`` for which ``w[1:] h`` was a new braid one level earlier ("grown"
-    letters); shorter words are extended by every proud follower.  Proof.
+    frontier word ``w`` is extended only by the letters ``h`` for which
+    ``w[1:] h`` was a new braid one level earlier ("grown" letters), and the
+    empty word by every generator.  Proof.
     Let ``w = a v`` be a representative.  Then ``v`` is minimal, or ``a``
     followed by a shorter word for ``v``'s braid would be a shorter word for
     ``w``'s braid.  And ``v`` is least among the minimal words of its braid,
@@ -208,9 +209,9 @@ def tabulate(
     enters the index earlier: at a shorter level, or earlier in the same
     lexicographically ordered level.  Conversely every representative is
     still pushed, by induction on its length: its prefix is on the frontier
-    and its suffix was new.  So counts and file bytes do not change.  Also
-    ``(w[-1], h)`` is a factor of the representative ``w[1:] h``, so every
-    grown letter is a proud follower of ``w[-1]``.
+    and its suffix was new.  So counts and file bytes do not change.  The
+    rule implies pride: a kept word is minimal and least, so no letter in it
+    is followed by its inverse or by a commuting letter that sorts before it.
 
     ``representatives_path`` is opened for writing before the frontier
     runs, so an unwritable path fails at once.
@@ -235,13 +236,12 @@ def tabulate(
 def _braid_index(n: int, m: int, kind: str, max_keys: int | None, max_iters: int) -> dict:
     """Canonical key -> representative word of every braid with at most
     ``m`` crossings, built by the frontier described in :func:`tabulate`."""
-    proud = _proud_letters(n, kind)
     # each representative one letter shorter than the level's parents -> the
     # letters, in generator order, whose push from it gave a new braid
-    grown: dict[tuple, list] = {}
+    grown: dict[tuple, list] = {(): generators(n, kind)}
 
     def letters(word):
-        return grown.get(word[1:], ()) if len(word) >= 2 else proud(word)
+        return grown.get(word[1:], ())
 
     root = _root(n, max_iters)
     index = {_state_key(*root[1:], kind): ()}

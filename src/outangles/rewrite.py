@@ -48,7 +48,7 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .diagram import Diagram, _assemble, _canonical_text, _mark, _strand_sequences
+from .diagram import Diagram, _assemble, _canonical_text, _check_strand_count, _mark, _strand_sequences
 from .errors import CapExceeded, CyclicDiagram, InvalidDiagram, SameCrossing, StrandCountMismatch
 
 DEFAULT_MAX_ITERS = 1 << 24
@@ -362,6 +362,7 @@ class OuAccumulator:
     __slots__ = ("_scratch", "max_iters")
 
     def __init__(self, n: int, max_iters: int = DEFAULT_MAX_ITERS):
+        _check_strand_count(n)
         self._scratch = _Scratch([[] for _ in range(n)], 0)
         self.max_iters = max_iters
 

@@ -216,6 +216,10 @@ def test_generators_and_words_take_exact_ints():
         lambda: ClassicalBraidWord(3, (True,)),
         lambda: ClassicalBraidWord(3, (0,)),
         lambda: ClassicalBraidWord(3, (3,)),
+        lambda: VirtualBraidWord(True, ()),
+        lambda: VirtualBraidWord(0, ()),
+        lambda: ClassicalBraidWord(2.0, (1,)),
+        lambda: ClassicalBraidWord(0, ()),
     )
     for make in bad:
         with pytest.raises(ValueError):

@@ -30,7 +30,14 @@ def test_generators_rejects_bad_input():
         ou.generators(1, "virtual")
     with pytest.raises(ValueError):
         ou.generators(3, "welded")
-    for g, n, kind in ((0, 3, "classical"), (5, 3, "classical"), (BraidGenerator(3, 4, 1), 2, "virtual")):
+    for g, n, kind in (
+        (0, 3, "classical"),
+        (5, 3, "classical"),
+        (BraidGenerator(3, 4, 1), 2, "virtual"),
+        (1, 3, "virtual"),
+        (BraidGenerator(1, 2, 1), 3, "classical"),
+        (True, 3, "classical"),
+    ):
         with pytest.raises(ValueError):
             ou.proud_followers(g, n, kind)
 
@@ -87,7 +94,8 @@ def test_tabulate_wide_tables():
 
 def test_follower_lists_are_built_on_first_lookup(monkeypatch):
     # one-letter words get no second letter, so no generator's follower
-    # list is needed, which on 40 strands would be 3120 lists
+    # list is needed, which on 40 strands would be 3120 lists; tabulate
+    # extends words by their grown letters and never builds one
     calls = []
     inner = ou.enumeration.proud_followers
 
@@ -98,6 +106,8 @@ def test_follower_lists_are_built_on_first_lookup(monkeypatch):
     monkeypatch.setattr(ou.enumeration, "proud_followers", counting)
     assert ou.tabulate(40, 1, "virtual").count_exactly == (1, 3120)
     assert ou.worst_braid(40, 1)[1] == 1
+    assert ou.tabulate(4, 3, "virtual").count_exactly[:2] == (1, 24)
+    assert ou.tabulate(4, 4, "classical").count_exactly[:2] == (1, 6)
     assert not calls
 
 
@@ -125,16 +135,18 @@ def test_tabulate_agrees_with_definitional_route():
 
 
 @pytest.mark.parametrize(
-    "n, m, wasted, total",
+    "n, m, wasted, total, kind",
     [
-        # pushes that find no new braid at level 3 and up are the minimal
-        # forbidden factors of the geodesics (Sabalka's count on B3)
-        (3, 8, (0, 0, 6, 4, 8, 10, 12, 14), 2642),
-        (4, 5, (0, 0, 12, 20, 36), 1646),
-        (5, 4, (0, 0, 18, 36), 1196),
+        # pushes that find no new braid at level 2 and up are the minimal
+        # forbidden factors of the representatives (Sabalka's count on B3)
+        (3, 8, (0, 4, 6, 4, 8, 10, 12, 14), 2646, "classical"),
+        (4, 5, (0, 10, 12, 20, 36), 1656, "classical"),
+        (5, 4, (0, 20, 18, 36), 1216, "classical"),
+        (3, 4, (0, 12, 36, 48), 16812, "virtual"),
+        (4, 3, (0, 72, 176), 11120, "virtual"),
     ],
 )
-def test_frontier_pushes_only_children_with_a_representative_suffix(monkeypatch, n, m, wasted, total):
+def test_frontier_pushes_only_children_with_a_representative_suffix(monkeypatch, n, m, wasted, total, kind):
     pushes = []
     inner = ou.enumeration._children
 
@@ -145,7 +157,7 @@ def test_frontier_pushes_only_children_with_a_representative_suffix(monkeypatch,
             yield child
 
     monkeypatch.setattr(ou.enumeration, "_children", counting)
-    report = ou.tabulate(n, m, "classical")
+    report = ou.tabulate(n, m, kind)
     assert tuple(p - new for p, new in zip(pushes, report.count_exactly[1:])) == wasted
     assert sum(pushes) == total
 

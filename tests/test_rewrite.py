@@ -478,6 +478,10 @@ def test_push_matches_reference_normal_form(monkeypatch):
 
 
 def test_push_rejects_a_generator_outside_its_strands():
+    # a strand count that would not print as one is refused up front
+    for n in (-2, 0, True, 3.0):
+        with pytest.raises(ValueError):
+            ou.OuAccumulator(n)
     acc = ou.OuAccumulator(3)
     for i, j in ((0, 2), (2, 0), (4, 1), (1, 4), (-1, 2)):
         with pytest.raises(ou.StrandCountMismatch, match=f"s{i},{j} .* 3 "):
