@@ -5,140 +5,16 @@ reduced OU form, complete invariants of virtual pure braids, divisor
 peeling with extraction graphs, and exhaustive braid tabulation.
 """
 
-from .braid import (
-    BraidGenerator,
-    ClassicalBraidWord,
-    VirtualBraidWord,
-    braids_equal,
-    ch,
-    classical_braids_equal,
-    classical_key,
-    classical_to_vpb,
-    generator_diagram,
-    iota,
-    parse_classical,
-    parse_vpb,
-    vpb_generators,
-)
-from .diagram import (
-    Crossing,
-    Diagram,
-    canonical_key,
-    compose,
-    crossing_number,
-    identity_diagram,
-    key_hash,
-    parse,
-    serialize,
-    tidy,
-)
-from .division import (
-    ExtractionGraph,
-    divisors,
-    extraction_graph,
-    peel,
-    quotient,
-    to_dot,
-    to_edge_lines,
-)
-from .enumeration import (
-    TabulationReport,
-    fibonacci_check,
-    generators,
-    proud_followers,
-    proud_words,
-    read_representatives,
-    tabulate,
-    worst_braid,
-)
-from .errors import (
-    CapExceeded,
-    CyclicDiagram,
-    InvalidDiagram,
-    NotADivisor,
-    NotReducedOU,
-    OuError,
-    ParseError,
-    ResourceLimit,
-    SameCrossing,
-    StrandCountMismatch,
-)
-from .rewrite import (
-    DEFAULT_MAX_ITERS,
-    OuAccumulator,
-    UoInterval,
-    cascade_graph,
-    glide_once,
-    is_acyclic,
-    is_ou,
-    is_reduced,
-    ou_normal_form,
-    reduce_r12,
-    uo_intervals,
-    xi,
-)
+from . import braid, diagram, division, enumeration, errors, rewrite
+from .braid import *  # noqa: F403
+from .diagram import *  # noqa: F403
+from .division import *  # noqa: F403
+from .enumeration import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .rewrite import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BraidGenerator",
-    "CapExceeded",
-    "ClassicalBraidWord",
-    "Crossing",
-    "CyclicDiagram",
-    "DEFAULT_MAX_ITERS",
-    "Diagram",
-    "ExtractionGraph",
-    "InvalidDiagram",
-    "NotADivisor",
-    "NotReducedOU",
-    "OuAccumulator",
-    "OuError",
-    "ParseError",
-    "ResourceLimit",
-    "SameCrossing",
-    "StrandCountMismatch",
-    "TabulationReport",
-    "UoInterval",
-    "VirtualBraidWord",
-    "braids_equal",
-    "canonical_key",
-    "cascade_graph",
-    "ch",
-    "classical_braids_equal",
-    "classical_key",
-    "classical_to_vpb",
-    "compose",
-    "crossing_number",
-    "divisors",
-    "extraction_graph",
-    "fibonacci_check",
-    "generator_diagram",
-    "generators",
-    "glide_once",
-    "identity_diagram",
-    "iota",
-    "is_acyclic",
-    "is_ou",
-    "is_reduced",
-    "key_hash",
-    "ou_normal_form",
-    "parse",
-    "parse_classical",
-    "parse_vpb",
-    "peel",
-    "proud_followers",
-    "proud_words",
-    "quotient",
-    "read_representatives",
-    "reduce_r12",
-    "serialize",
-    "tabulate",
-    "tidy",
-    "to_dot",
-    "to_edge_lines",
-    "uo_intervals",
-    "vpb_generators",
-    "worst_braid",
-    "xi",
-]
+__all__ = sorted(
+    braid.__all__ + diagram.__all__ + division.__all__ + enumeration.__all__ + errors.__all__ + rewrite.__all__
+)

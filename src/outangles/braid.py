@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .diagram import (
     Diagram,
     _assemble,
-    _check_strand_count,
+    _check_count,
     _mark,
     _parse_int,
     canonical_key,
@@ -30,6 +30,22 @@ from .diagram import (
 )
 from .errors import ParseError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, ou_normal_form
+
+__all__ = [
+    "BraidGenerator",
+    "ClassicalBraidWord",
+    "VirtualBraidWord",
+    "braids_equal",
+    "ch",
+    "classical_braids_equal",
+    "classical_key",
+    "classical_to_vpb",
+    "generator_diagram",
+    "iota",
+    "parse_classical",
+    "parse_vpb",
+    "vpb_generators",
+]
 
 Permutation = tuple[int, ...]  # image array: position -> strand occupying it
 
@@ -80,7 +96,7 @@ class VirtualBraidWord:
     letters: tuple[BraidGenerator, ...]
 
     def __post_init__(self) -> None:
-        _check_strand_count(self.n)
+        _check_count(self.n)
         for g in self.letters:
             if g.i > self.n or g.j > self.n:
                 raise ValueError(f"generator {g.token()} out of range for {self.n} strands")
@@ -103,7 +119,7 @@ class ClassicalBraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_strand_count(self.n)
+        _check_count(self.n)
         for k in self.letters:
             if type(k) is not int or k == 0 or abs(k) > self.n - 1:
                 raise ValueError(f"letter {k!r} out of range for {self.n} strands")

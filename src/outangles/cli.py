@@ -206,15 +206,12 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return _run(args, max_iters)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:  # ParseError is an OuError, so it goes first
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

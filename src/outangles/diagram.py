@@ -24,6 +24,19 @@ from fractions import Fraction
 
 from .errors import InvalidDiagram, ParseError, StrandCountMismatch
 
+__all__ = [
+    "Crossing",
+    "Diagram",
+    "canonical_key",
+    "compose",
+    "crossing_number",
+    "identity_diagram",
+    "key_hash",
+    "parse",
+    "serialize",
+    "tidy",
+]
+
 Key = int | Fraction
 
 
@@ -33,10 +46,10 @@ def _check_key(value: Key, what: str) -> None:
         raise InvalidDiagram(f"{what} must be an exact rational, got {value!r}")
 
 
-def _check_strand_count(n) -> None:
-    # exact ints only: a bool or a float would not print as a strand count
-    if type(n) is not int or n < 1:
-        raise ValueError(f"strand count must be an int >= 1, got {n!r}")
+def _check_count(value, low: int = 1, what: str = "strand count") -> None:
+    # exact ints only: a bool or a float would not print as a count
+    if type(value) is not int or value < low:
+        raise ValueError(f"{what} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,16 @@ from .diagram import Diagram, canonical_key, compose, key_hash  # noqa: F401
 from .errors import NotADivisor, NotReducedOU, OuError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, _Scratch, ou_normal_form  # noqa: F401
 
+__all__ = [
+    "ExtractionGraph",
+    "divisors",
+    "extraction_graph",
+    "peel",
+    "quotient",
+    "to_dot",
+    "to_edge_lines",
+]
+
 
 def _require_reduced_ou(T: Diagram) -> _Scratch:
     """The mirror image of ``T``, checked to be reduced OU."""

@@ -30,9 +30,20 @@ from .braid import (
     permuted_key,
     vpb_generators,
 )
-from .diagram import key_hash
+from .diagram import _check_count, key_hash
 from .errors import ParseError, ResourceLimit
 from .rewrite import DEFAULT_MAX_ITERS, OuAccumulator
+
+__all__ = [
+    "TabulationReport",
+    "fibonacci_check",
+    "generators",
+    "proud_followers",
+    "proud_words",
+    "read_representatives",
+    "tabulate",
+    "worst_braid",
+]
 
 KINDS = ("virtual", "classical")
 
@@ -44,8 +55,7 @@ def generators(n: int, kind: str = "virtual") -> list[BraidGenerator] | list[int
     Classical: ``+1, -1, +2, -2, ...`` up to position ``n - 1``.
     """
     _check_kind(kind)
-    if n < 2:
-        raise ValueError("need at least 2 strands")
+    _check_count(n, 2)
     if kind == "virtual":
         return vpb_generators(n)
     out: list[int] = []
@@ -86,6 +96,7 @@ def proud_followers(g, n: int, kind: str = "virtual"):
 
 def proud_words(n: int, m: int, kind: str = "virtual"):
     """Yield all proud words of length exactly ``m``, in lexicographic order."""
+    _check_count(m, 0, "m")
     letters = _proud_letters(n, kind)
     # one lazy generator per level, each drawing on the one before it
     words = iter([()])
@@ -217,8 +228,8 @@ def tabulate(
     runs, so an unwritable path fails at once.
     """
     _check_kind(kind)
-    if n < 2 or m < 0:
-        raise ValueError("need n >= 2 and m >= 0")
+    _check_count(n, 2)
+    _check_count(m, 0, "m")
     if representatives_path is None:
         index = _braid_index(n, m, kind, max_keys, max_iters)
         path_str = None
@@ -318,8 +329,7 @@ def fibonacci_check(m_max: int, counts: tuple[int, ...] | None = None) -> bool:
     ``counts`` may supply precomputed exact-m counts (index = m); otherwise
     the table is tabulated here.
     """
-    if m_max < 1:
-        raise ValueError("need m_max >= 1")
+    _check_count(m_max, 1, "m_max")
     if counts is None:
         counts = tabulate(3, m_max, "classical").count_exactly
     if len(counts) <= m_max:
@@ -344,8 +354,8 @@ def worst_braid(
     deterministic.
     """
     _check_kind(kind)
-    if n < 2 or m < 1:
-        raise ValueError("need n >= 2 and m >= 1")
+    _check_count(n, 2)
+    _check_count(m, 1, "m")
     proud = _proud_letters(n, kind)
     level = [_root(n, max_iters)]
     for _ in range(m - 1):

@@ -6,6 +6,19 @@ the CLI) can distinguish "the mathematics said no" from programming errors.
 
 from __future__ import annotations
 
+__all__ = [
+    "CapExceeded",
+    "CyclicDiagram",
+    "InvalidDiagram",
+    "NotADivisor",
+    "NotReducedOU",
+    "OuError",
+    "ParseError",
+    "ResourceLimit",
+    "SameCrossing",
+    "StrandCountMismatch",
+]
+
 
 class OuError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -48,8 +48,23 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .diagram import Diagram, _assemble, _canonical_text, _check_strand_count, _mark, _strand_sequences
+from .diagram import Diagram, _assemble, _canonical_text, _check_count, _mark, _strand_sequences
 from .errors import CapExceeded, CyclicDiagram, InvalidDiagram, SameCrossing, StrandCountMismatch
+
+__all__ = [
+    "DEFAULT_MAX_ITERS",
+    "OuAccumulator",
+    "UoInterval",
+    "cascade_graph",
+    "glide_once",
+    "is_acyclic",
+    "is_ou",
+    "is_reduced",
+    "ou_normal_form",
+    "reduce_r12",
+    "uo_intervals",
+    "xi",
+]
 
 DEFAULT_MAX_ITERS = 1 << 24
 
@@ -362,7 +377,7 @@ class OuAccumulator:
     __slots__ = ("_scratch", "max_iters")
 
     def __init__(self, n: int, max_iters: int = DEFAULT_MAX_ITERS):
-        _check_strand_count(n)
+        _check_count(n)
         self._scratch = _Scratch([[] for _ in range(n)], 0)
         self.max_iters = max_iters
 

@@ -42,6 +42,30 @@ def test_generators_rejects_bad_input():
             ou.proud_followers(g, n, kind)
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("generators", (3.0,)),
+        ("tabulate", (3.0, 2)),
+        ("tabulate", (3, 2.0)),
+        ("tabulate", (3, True)),
+        ("worst_braid", (3.0, 2)),
+        ("worst_braid", (3, True, "classical")),
+        ("proud_words", (3.0, 1)),
+        ("proud_words", (2, -3)),
+        ("proud_words", (3, -1)),
+        ("fibonacci_check", (2.5,)),
+        ("fibonacci_check", (True,)),
+    ],
+)
+def test_counts_must_be_exact_ints(name, args):
+    # a float or bool strand count or length, or a negative length
+    with pytest.raises(ValueError):
+        out = getattr(ou, name)(*args)
+        if name == "proud_words":
+            next(out)  # a generator checks its arguments on the first next()
+
+
 def test_proud_followers_examples():
     for g in ou.generators(3, "virtual"):
         assert len(ou.proud_followers(g, 3, "virtual")) == 11
