@@ -15,6 +15,7 @@ their end permutation, which joins the canonical key for identity tests.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -81,6 +82,7 @@ class BraidGenerator:
 
 def vpb_generators(n: int) -> list[BraidGenerator]:
     """All ``2n(n-1)`` generators on ``n`` strands, in sort-key order."""
+    _check_count(n)
     out = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -129,12 +131,21 @@ class ClassicalBraidWord:
 
 
 def generator_diagram(n: int, g: BraidGenerator) -> Diagram:
-    """The one-crossing diagram of a generator, tidied."""
+    """The one-crossing diagram of a generator, tidied.  Built once per
+    ``(n, generator)`` and then shared, which is safe because diagrams are
+    immutable."""
     if max(g.i, g.j) > n:
         raise StrandCountMismatch(f"{g.token()} is not a generator on {n} strands")
+    _check_count(n)
+    return _generator_diagram(n, g.i, g.j, g.sign)
+
+
+# a cached diagram holds one end-of-strand key per strand, and n may reach MAX_STRANDS
+@functools.lru_cache(maxsize=1024)
+def _generator_diagram(n: int, i: int, j: int, sign: int) -> Diagram:
     strands: list[list[int]] = [[] for _ in range(n)]
-    strands[g.i - 1].append(_mark(0, True, g.sign))
-    strands[g.j - 1].append(_mark(0, False, g.sign))
+    strands[i - 1].append(_mark(0, True, sign))
+    strands[j - 1].append(_mark(0, False, sign))
     return _assemble(strands)
 
 

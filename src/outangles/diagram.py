@@ -63,11 +63,17 @@ class Crossing:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise InvalidDiagram(f"crossing sign must be +1 or -1, got {self.sign!r}")
-        for role, (strand, key) in (("over", self.over), ("under", self.under)):
-            if not isinstance(strand, int) or strand < 1:
-                raise InvalidDiagram(f"{role} strand must be a positive integer, got {strand!r}")
-            _check_key(key, f"{role} mark key")
-        if self.over[0] == self.under[0] and self.over[1] == self.under[1]:
+        # exact ints take the fast path; other keys go through _check_key
+        (a, ka), (b, kb) = self.over, self.under
+        if type(a) is not int or a < 1:
+            raise InvalidDiagram(f"over strand must be a positive integer, got {a!r}")
+        if type(ka) is not int:
+            _check_key(ka, "over mark key")
+        if type(b) is not int or b < 1:
+            raise InvalidDiagram(f"under strand must be a positive integer, got {b!r}")
+        if type(kb) is not int:
+            _check_key(kb, "under mark key")
+        if a == b and ka == kb:
             raise InvalidDiagram("over and under marks of a crossing coincide")
 
 
@@ -86,35 +92,38 @@ class Diagram:
     eos_keys: tuple[Key, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidDiagram(f"strand count must be a positive integer, got {self.n!r}")
-        if len(self.eos_keys) != self.n:
-            raise InvalidDiagram(
-                f"expected {self.n} end-of-strand keys, got {len(self.eos_keys)}"
-            )
+        n = self.n
+        if type(n) is not int or n < 1:
+            raise InvalidDiagram(f"strand count must be a positive integer, got {n!r}")
+        if len(self.eos_keys) != n:
+            raise InvalidDiagram(f"expected {n} end-of-strand keys, got {len(self.eos_keys)}")
         for k in self.eos_keys:
-            _check_key(k, "end-of-strand key")
-        per_strand: list[list[Key]] = [[] for _ in range(self.n)]
+            if type(k) is not int:
+                _check_key(k, "end-of-strand key")
+        per_strand: list[list[Key]] = [[] for _ in range(n)]
         for c in self.crossings:
-            for strand, key in (c.over, c.under):
-                if strand > self.n:
-                    raise InvalidDiagram(f"strand {strand} out of range 1..{self.n}")
-                per_strand[strand - 1].append(key)
-        for a, keys in enumerate(per_strand, start=1):
-            eos = self.eos_keys[a - 1]
-            seen: set[Key] = set()
-            for k in keys:
-                if k in seen:
-                    raise InvalidDiagram(f"duplicate mark key {k} on strand {a}")
-                seen.add(k)
-                if k >= eos:
-                    raise InvalidDiagram(
-                        f"end-of-strand key of strand {a} is not strictly maximal"
-                    )
+            (a, ka), (b, kb) = c.over, c.under
+            if a > n:
+                raise InvalidDiagram(f"strand {a} out of range 1..{n}")
+            per_strand[a - 1].append(ka)
+            if b > n:
+                raise InvalidDiagram(f"strand {b} out of range 1..{n}")
+            per_strand[b - 1].append(kb)
+        for a, (keys, eos) in enumerate(zip(per_strand, self.eos_keys), start=1):
+            if keys and (max(keys) >= eos or len(set(keys)) != len(keys)):
+                # walk the keys in order to name the first offending one
+                seen: set[Key] = set()
+                for k in keys:
+                    if k in seen:
+                        raise InvalidDiagram(f"duplicate mark key {k} on strand {a}")
+                    seen.add(k)
+                    if k >= eos:
+                        raise InvalidDiagram(f"end-of-strand key of strand {a} is not strictly maximal")
 
 
 def identity_diagram(n: int) -> Diagram:
     """The crossingless diagram on ``n`` strands (tidied)."""
+    _check_count(n)
     return Diagram(n, (), tuple(range(1, n + 1)))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 # bench/tracer.py CONSUMERS pins compose, generator_diagram, ou_normal_form and canonical_key here
 from .braid import BraidGenerator, VirtualBraidWord, generator_diagram  # noqa: F401
-from .diagram import Diagram, canonical_key, compose, key_hash  # noqa: F401
+from .diagram import Diagram, _check_count, canonical_key, compose, key_hash  # noqa: F401
 from .errors import NotADivisor, NotReducedOU, OuError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, _Scratch, ou_normal_form  # noqa: F401
 
@@ -37,8 +37,10 @@ __all__ = [
 ]
 
 
-def _require_reduced_ou(T: Diagram) -> _Scratch:
-    """The mirror image of ``T``, checked to be reduced OU."""
+def _require_reduced_ou(T: Diagram, max_iters: int) -> _Scratch:
+    """The mirror image of ``T``, checked to be reduced OU, after checking
+    the glide cap ``max_iters``."""
+    _check_count(max_iters, 0, "max_iters")
     scratch = _Scratch.from_diagram(T)
     if scratch.uo_slots():
         raise NotReducedOU("diagram is not in over-then-under form")
@@ -137,7 +139,7 @@ def _divisor_quotients(T: _Scratch, max_iters: int) -> list[tuple[BraidGenerator
 
 def divisors(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> list[BraidGenerator]:
     """Generators that divide ``T``, in generator order (possibly empty)."""
-    return [g for g, _ in _divisor_quotients(_require_reduced_ou(T), max_iters)]
+    return [g for g, _ in _divisor_quotients(_require_reduced_ou(T, max_iters), max_iters)]
 
 
 def quotient(T: Diagram, g: BraidGenerator, max_iters: int = DEFAULT_MAX_ITERS) -> Diagram:
@@ -149,7 +151,7 @@ def quotient(T: Diagram, g: BraidGenerator, max_iters: int = DEFAULT_MAX_ITERS) 
     """
     if max(g.i, g.j) > T.n:
         raise StrandCountMismatch(f"{g.token()} is not a generator on {T.n} strands")
-    q = _quotient_or_none(_require_reduced_ou(T), g, max_iters)
+    q = _quotient_or_none(_require_reduced_ou(T, max_iters), g, max_iters)
     if q is None:
         raise NotADivisor(f"{g.token()} does not lower the crossing number")
     return q.mirrored().to_diagram()
@@ -166,7 +168,7 @@ def peel(
     step; with ``rng`` a uniformly random divisor is taken instead.  The
     resulting (braid, core) pair does not depend on the choices.
     """
-    current = _require_reduced_ou(T)
+    current = _require_reduced_ou(T, max_iters)
     letters: list[BraidGenerator] = []
     while pairs := _divisor_quotients(current, max_iters):
         g, current = pairs[0] if rng is None else rng.choice(pairs)
@@ -209,7 +211,7 @@ def extraction_graph(T: Diagram, max_iters: int = DEFAULT_MAX_ITERS) -> Extracti
     Nodes are keyed by canonical form, so each tangle is expanded once and
     divisor sets are effectively memoized per key.
     """
-    start = _require_reduced_ou(T)
+    start = _require_reduced_ou(T, max_iters)
     source = start.mirrored().canonical_text().encode("ascii")
     nodes: dict[bytes, int] = {source: start.crossing_count()}
     edges: list[tuple[bytes, BraidGenerator, bytes]] = []

@@ -230,6 +230,9 @@ def tabulate(
     _check_kind(kind)
     _check_count(n, 2)
     _check_count(m, 0, "m")
+    _check_count(max_iters, 0, "max_iters")
+    if max_keys is not None:
+        _check_count(max_keys, 1, "max_keys")
     if representatives_path is None:
         index = _braid_index(n, m, kind, max_keys, max_iters)
         path_str = None

@@ -378,6 +378,7 @@ class OuAccumulator:
 
     def __init__(self, n: int, max_iters: int = DEFAULT_MAX_ITERS):
         _check_count(n)
+        _check_count(max_iters, 0, "max_iters")
         self._scratch = _Scratch([[] for _ in range(n)], 0)
         self.max_iters = max_iters
 
@@ -514,6 +515,7 @@ def _normalized(d: Diagram, max_iters: int, rng: random.Random | None = None) ->
     check for a closed cascade path (an OU state has none, as
     :meth:`OuAccumulator.push` argues), then walk every strand from position
     0 under one glide budget, or with ``rng`` glide at random slots."""
+    _check_count(max_iters, 0, "max_iters")
     scratch = _Scratch.from_diagram(d)
     where = scratch.reduce(scratch.marks())
     if not scratch.is_acyclic():

@@ -36,3 +36,11 @@ def test_public_surface():
     exec("from outangles import *", ns)
     del ns["__builtins__"]
     assert sorted(ns) == ou.__all__
+
+
+def test_no_public_function_is_wrapped():
+    # bench/tracer.py marks its own wrappers with __wrapped__ and reads it to
+    # tell that a name was rebound, so a library decorator that sets it (as
+    # functools does) would hide a missed rebinding
+    for name in ou.__all__:
+        assert not hasattr(getattr(ou, name), "__wrapped__"), name

@@ -8,6 +8,7 @@ from helpers import burau_matrix, random_vpb_word, twist_word, word_is_proud
 
 import outangles as ou
 from outangles import BraidGenerator, ClassicalBraidWord, VirtualBraidWord
+from outangles.diagram import _assemble, _mark
 
 SCR_LONG = "vpb 3: s2,1' s1,3 s3,1 s1,3 s3,1 s1,3 s2,3 s2,1"
 SCR_SHORT = "vpb 3: s2,3 s1,3 s3,1 s1,3 s3,1 s1,3"
@@ -220,10 +221,19 @@ def test_generators_and_words_take_exact_ints():
         lambda: VirtualBraidWord(0, ()),
         lambda: ClassicalBraidWord(2.0, (1,)),
         lambda: ClassicalBraidWord(0, ()),
+        lambda: ou.identity_diagram(True),
+        lambda: ou.identity_diagram(2.0),
+        lambda: ou.vpb_generators(2.0),
+        lambda: ou.vpb_generators(True),
+        lambda: ou.vpb_generators(0),
+        lambda: ou.vpb_generators(-2),
+        lambda: ou.generator_diagram(2.0, BraidGenerator(1, 2, 1)),
     )
+    ou.generator_diagram(2, BraidGenerator(1, 2, 1))  # 2.0 must not hit this memo entry
     for make in bad:
         with pytest.raises(ValueError):
             make()
+    assert ou.vpb_generators(1) == []
     w = VirtualBraidWord(3, (BraidGenerator(3, 1, -1),))
     assert ou.parse_vpb(w.text()) == w
 
@@ -264,7 +274,20 @@ def test_conjugate_power_identity_under_both_deciders():
         assert burau_matrix(3, left.letters) == burau_matrix(3, right.letters)
 
 
+def test_generator_diagram_is_built_once_per_generator():
+    for n in range(2, 6):
+        for g in ou.vpb_generators(n):
+            strands = [[] for _ in range(n)]
+            strands[g.i - 1].append(_mark(0, True, g.sign))
+            strands[g.j - 1].append(_mark(0, False, g.sign))
+            d = ou.generator_diagram(n, g)
+            assert d == _assemble(strands)
+            assert ou.generator_diagram(n, g) is d
+
+
 def test_generator_diagram_rejects_a_strand_beyond_n():
+    for g in ou.vpb_generators(4):  # warm the memo on 4 strands
+        ou.generator_diagram(4, g)
     for g in (BraidGenerator(4, 1, 1), BraidGenerator(1, 4, -1)):
         with pytest.raises(ou.StrandCountMismatch, match=f"{g.token()}.* 3 "):
             ou.generator_diagram(3, g)

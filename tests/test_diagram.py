@@ -182,15 +182,28 @@ def test_parse_semantic_errors():
 
 
 def test_invalid_diagram_construction():
-    with pytest.raises(ou.InvalidDiagram):
+    with pytest.raises(ou.InvalidDiagram, match="coincide"):
         Diagram(2, (Crossing(1, (1, 1), (1, 1)),), (2, 3))  # coincident marks
-    with pytest.raises(ou.InvalidDiagram):
+    with pytest.raises(ou.InvalidDiagram, match="not strictly maximal"):
         Diagram(1, (Crossing(1, (1, 1), (1, 2)),), (2,))  # end key not maximal
-    with pytest.raises(ou.InvalidDiagram):
+    with pytest.raises(ou.InvalidDiagram, match="over mark key must be an exact rational, got 0.5"):
         Diagram(2, (Crossing(1, (1, 0.5), (2, 1)),), (2, 3))  # float key
-    with pytest.raises(ou.InvalidDiagram):
+    with pytest.raises(ou.InvalidDiagram, match="sign must be"):
         Diagram(2, (Crossing(2, (1, 1), (2, 2)),), (3, 4))  # bad sign
-    with pytest.raises(ou.InvalidDiagram):
+    with pytest.raises(ou.InvalidDiagram, match="strand 3 out of range 1..2"):
         Diagram(2, (Crossing(1, (3, 1), (2, 2)),), (3, 4))  # strand out of range
     with pytest.raises(ou.InvalidDiagram, match="duplicate"):
         Diagram(2, (Crossing(1, (1, 1), (2, 3)), Crossing(1, (1, 1), (2, 4))), (2, 5))  # duplicate key
+    # a strand with a duplicate key and a key above its end: the first bad
+    # key in crossing order is named, whichever fault it has
+    with pytest.raises(ou.InvalidDiagram, match="strand 1 is not strictly maximal"):
+        Diagram(2, (Crossing(1, (1, 3), (2, 5)), Crossing(1, (1, 1), (2, 6)), Crossing(1, (1, 1), (2, 7))), (2, 8))
+    with pytest.raises(ou.InvalidDiagram, match="duplicate mark key 1 on strand 1"):
+        Diagram(2, (Crossing(1, (1, 1), (2, 5)), Crossing(1, (1, 1), (2, 6)), Crossing(1, (1, 3), (2, 7))), (2, 8))
+    # exact rationals other than ints are still keys; a bool is no strand
+    d = Diagram(2, (Crossing(1, (1, Fraction(1, 2)), (2, Fraction(7, 3))),), (1, 3))
+    assert ou.serialize(d) == "vd 2\nx + 1 3\neos 2 4\n"
+    with pytest.raises(ou.InvalidDiagram, match="over strand must be a positive integer, got True"):
+        Crossing(1, (True, 1), (2, 2))
+    with pytest.raises(ou.InvalidDiagram, match="strand count must be a positive integer, got True"):
+        Diagram(True, (), (1,))

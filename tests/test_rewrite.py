@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from helpers import (
@@ -556,3 +557,38 @@ def test_cap_message_names_the_cap_on_every_path():
                 ou.quotient(T, g, max_iters=k - 1)
             assert str(exc.value) == message(k - 1)
     assert capped
+
+
+
+_WORD = ClassicalBraidWord(3, (1, 2, 1, 2, 1, 2))
+_VWORD, _ = ou.classical_to_vpb(_WORD)
+_CAPPED = {
+    "ch": lambda cap, path: ou.ch(_VWORD, cap),
+    "ou_normal_form": lambda cap, path: ou.ou_normal_form(ou.identity_diagram(2), cap),
+    "xi": lambda cap, path: ou.xi(ou.identity_diagram(2), cap),
+    "braids_equal": lambda cap, path: ou.braids_equal(_VWORD, _VWORD, cap),
+    "classical_key": lambda cap, path: ou.classical_key(_WORD, cap),
+    "OuAccumulator": lambda cap, path: ou.OuAccumulator(3, max_iters=cap),
+    "tabulate": lambda cap, path: ou.tabulate(3, 1, representatives_path=path, max_iters=cap),
+    "divisors": lambda cap, path: ou.divisors(ou.identity_diagram(2), cap),
+    "quotient": lambda cap, path: ou.quotient(ou.identity_diagram(2), ou.BraidGenerator(1, 2, 1), cap),
+    "peel": lambda cap, path: ou.peel(ou.identity_diagram(2), max_iters=cap),
+    "extraction_graph": lambda cap, path: ou.extraction_graph(ou.identity_diagram(2), cap),
+    "tabulate max_keys": lambda cap, path: ou.tabulate(3, 1, representatives_path=path, max_keys=cap),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, cap",
+    [(entry, cap) for entry in _CAPPED if entry != "tabulate max_keys" for cap in (2.5, True, -1, None)]
+    + [("tabulate max_keys", cap) for cap in (2.5, True, 0)],
+)
+def test_caps_must_be_exact_ints(tmp_path, entry, cap):
+    # a glide cap is an int >= 0 and a key cap an int >= 1 (or None), checked
+    # where the call comes in: before any glide, and before tabulate opens
+    # its representatives file
+    what, low = ("max_keys", 1) if entry.endswith("max_keys") else ("max_iters", 0)
+    path = tmp_path / "reps.txt"
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be an int >= {low}, got {cap!r}")):
+        _CAPPED[entry](cap, path)
+    assert not path.exists()
