@@ -61,7 +61,7 @@ class Crossing:
     under: tuple[int, Key]
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise InvalidDiagram(f"crossing sign must be +1 or -1, got {self.sign!r}")
         # exact ints take the fast path; other keys go through _check_key
         (a, ka), (b, kb) = self.over, self.under
@@ -197,15 +197,17 @@ def compose(d1: Diagram, *rest: Diagram) -> Diagram:
     compose(compose(a, b), c)``, and ``compose(d) == tidy(d)``.
     Crossing counts add.
     """
-    merged = _strand_sequences(d1)
-    offset = 4 * len(d1.crossings)  # renumbers each diagram's crossings after those before it
-    for d in rest:
+    buckets: list[list[tuple[int, Key, int]]] = [[] for _ in range(d1.n)]
+    cid = 0  # crossing ids run on across the diagrams
+    for rank, d in enumerate((d1, *rest)):
         if d.n != d1.n:
             raise StrandCountMismatch(f"cannot compose diagrams on {d1.n} and {d.n} strands")
-        for seq, more in zip(merged, _strand_sequences(d)):
-            seq += [mk + offset for mk in more]
-        offset += 4 * len(d.crossings)
-    return _assemble(merged)
+        for c in d.crossings:
+            mk = _mark(cid, True, c.sign)
+            buckets[c.over[0] - 1].append((rank, c.over[1], mk))
+            buckets[c.under[0] - 1].append((rank, c.under[1], mk ^ 2))
+            cid += 1
+    return _assemble([[mk for _, _, mk in sorted(bucket)] for bucket in buckets])
 
 
 def _canonical_text(strands: list[list[int]]) -> str:

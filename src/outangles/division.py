@@ -44,7 +44,7 @@ def _require_reduced_ou(T: Diagram, max_iters: int) -> _Scratch:
     scratch = _Scratch.from_diagram(T)
     if scratch.uo_slots():
         raise NotReducedOU("diagram is not in over-then-under form")
-    scratch.reduce(scratch.marks())
+    scratch.reduce()
     if scratch.crossing_count() != len(T.crossings):
         raise NotReducedOU("diagram admits an R1 or R2 reduction")
     return scratch.mirrored()

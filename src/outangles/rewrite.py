@@ -15,10 +15,12 @@ adjacent pair of over marks (or of under marks) of opposite signs whose
 partner marks are adjacent too, in either order.  Normalizing a diagram
 starts with every mark dirty; after a glide only the (at most four) marks
 that :meth:`_Scratch.glide` returns are dirty, and after a removal the left
-neighbour of each removed mark.  R1/R2 removal terminates, and overlapping
-patterns (an R1 inside an R2, two R2s sharing a crossing) leave the same
-signed marks in the same places, so by Newman's lemma its fixpoint does not
-depend on the order of removal.
+neighbour of each removed pair.  A dirty mark carries its position when it
+was marked, so the loop scans for it only if it has moved since, and it
+removes each pattern where it found it.  R1/R2 removal terminates, and
+overlapping patterns (an R1 inside an R2, two R2s sharing a crossing) leave
+the same signed marks in the same places, so by Newman's lemma its fixpoint
+does not depend on the order of removal.
 
 One walk fixes the intervals (:meth:`_Scratch._walk`).  It glides at one
 strand's under-then-over slots in position order, and after each glide it
@@ -45,7 +47,6 @@ followed by tidying.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import Diagram, _assemble, _canonical_text, _check_count, _mark, _strand_sequences
@@ -120,10 +121,10 @@ class _Scratch:
         mk = _mark(self._next, True, sign)
         self._next += 1
         over, under = self.strands[i - 1], self.strands[j - 1]
-        dirty = over[-1:] + under[-1:]
+        dirty = {lst[-1]: len(lst) - 1 for lst in (over, under) if lst}
         over.append(mk)
         under.append(mk ^ 2)
-        self._walk(i - 1, len(over) - 2, self.reduce(dirty), 0, max_iters)
+        self._walk(i - 1, len(over) - 2, self._settle(self.strand_of(), dirty), 0, max_iters)
 
     def mirrored(self) -> "_Scratch":
         """The mirror image R: strands reversed, passes swapped, signs and
@@ -190,14 +191,15 @@ class _Scratch:
         """The strand index of every mark."""
         return {mk: s for s, lst in enumerate(self.strands) for mk in lst}
 
-    def glide(self, s: int, i: int, where: dict[int, int]) -> list[int]:
+    def glide(self, s: int, i: int, where: dict[int, int]) -> dict[int, int]:
         """Fix the under-then-over interval at marks ``i``, ``i + 1`` of
         strand ``s`` (0-based), keeping the strand lookup ``where`` current.
         The marks belong to different crossings: :func:`glide_once` checks
         that, and :meth:`_settle` removes a same-crossing pair as an R1.
 
-        Returns the marks to settle: at each of the two insertions, the mark
-        left of it and its last inserted mark.  On a reduced state, settling
+        Returns the marks to settle, each mapped to its position when marked:
+        at each of the two insertions, the mark left of it and its last
+        inserted mark.  On a reduced state, settling
         them finds every new R1 and R2.  A new pattern has a changed
         adjacency, and an R2 is found from either of its two adjacencies; so
         it is enough that none of the seven changed adjacencies left out is a
@@ -236,34 +238,28 @@ class _Scratch:
 
         # the new crossings' over marks flank a's over mark and their under
         # marks flank b's under mark, in the order the sign bits of x and y give
-        return self._insert_around(where, x ^ 2, over1, over2, x & 1) + self._insert_around(
-            where, y ^ 2, over2 ^ 2, over1 ^ 2, y & 1
-        )
-
-    def _insert_around(self, where: dict[int, int], anchor: int, before: int, after: int, keep: int) -> list[int]:
-        """Put ``before`` just ahead of ``anchor`` and ``after`` just behind
-        it, or the other way round when ``keep`` is false; return the last
-        inserted mark and the mark left of the insertion."""
-        if not keep:
-            before, after = after, before
-        s = where[anchor]
-        where[before] = where[after] = s
-        marks = self.strands[s]
-        at = marks.index(anchor)
-        marks[at : at + 1] = (before, anchor, after)
-        return [after, marks[at - 1]] if at else [after]
+        dirty: dict[int, int] = {}
+        for anchor, before, after, keep in ((x ^ 2, over1, over2, x & 1), (y ^ 2, over2 ^ 2, over1 ^ 2, y & 1)):
+            if not keep:
+                before, after = after, before
+            t = where[anchor]
+            where[before] = where[after] = t
+            marks = self.strands[t]
+            at = marks.index(anchor)
+            marks[at : at + 1] = (before, anchor, after)
+            dirty[after] = at + 2
+            if at:
+                dirty[marks[at - 1]] = at - 1
+        return dirty
 
     # -- normalization --------------------------------------------------------
 
     def marks(self) -> list[int]:
         return [mk for lst in self.strands for mk in lst]
 
-    def reduce(self, dirty: Iterable[int]) -> dict[int, int]:
-        """Settle the ``dirty`` marks (every mark, or those whose right
-        neighbour changed); return the strand lookup."""
-        where = self.strand_of()
-        self._settle(where, set(dirty))
-        return where
+    def reduce(self) -> dict[int, int]:
+        """Settle every mark; return the strand lookup."""
+        return self._settle(self.strand_of(), {mk: k for lst in self.strands for k, mk in enumerate(lst)})
 
     def _walk(self, s: int, at: int, where: dict[int, int], glides: int, max_iters: int) -> int:
         """Glide at the slots of strand ``s`` in position order, from
@@ -315,47 +311,50 @@ class _Scratch:
         :class:`CapExceeded` instead when ``glides`` is already ``max_iters``."""
         if glides >= max_iters:
             raise CapExceeded(f"no OU form after {max_iters} glide moves")
-        self._settle(where, set(self.glide(s, i, where)))
+        self._settle(where, self.glide(s, i, where))
         return glides + 1
 
-    def _settle(self, where: dict[int, int], dirty: set[int]) -> None:
-        """Recheck the adjacency to the right of each dirty mark: remove an
-        R1 or R2 pattern found there, marking the left neighbours of the
-        removed marks dirty in turn."""
+    def _settle(self, where: dict[int, int], dirty: dict[int, int]) -> dict[int, int]:
+        """Recheck the adjacency to the right of each dirty mark, which is
+        scanned for only if it has left the position ``dirty`` maps it to:
+        remove an R1 or R2 pattern found there, where it was found, marking
+        the left neighbours of the removed pairs dirty in turn.  Returns
+        the strand lookup ``where``, kept current."""
         strands = self.strands
         while dirty:
-            x = dirty.pop()
+            x, i = dirty.popitem()
             s = where.get(x)
             if s is None:  # removed after it was marked
                 continue
             lst = strands[s]
-            i = lst.index(x) + 1
-            if i == len(lst):
+            if i >= len(lst) or lst[i] != x:  # moved since it was marked
+                i = lst.index(x)
+            if i + 1 == len(lst):
                 continue
-            y = lst[i]
+            y = lst[i + 1]
             if x ^ y == 2:  # the two passes of one crossing: an R1
-                self._drop((x,), where, dirty)
-            elif (x ^ y) & 3 == 1 and self._adjacent(x ^ 2, y ^ 2, where):  # one pass, opposite signs
-                self._drop((x, y), where, dirty)
+                self._drop((x,), where, dirty, (s, i))
+            elif (x ^ y) & 3 == 1 and (t := where[x ^ 2]) == where[y ^ 2]:  # one pass, opposite signs
+                other = strands[t]  # an R2 if the partners are neighbours too, in either order
+                k = other.index(x ^ 2)
+                if k + 1 < len(other) and other[k + 1] == y ^ 2:
+                    self._drop((x, y), where, dirty, (s, i), (t, k))
+                elif k and other[k - 1] == y ^ 2:
+                    self._drop((x, y), where, dirty, (s, i), (t, k - 1))
+        return where
 
-    def _adjacent(self, p: int, q: int, where: dict[int, int]) -> bool:
-        """Marks ``p`` and ``q`` are neighbours, in either order."""
-        if where[p] != where[q]:
-            return False
-        lst = self.strands[where[p]]
-        k = lst.index(p)
-        return lst[k + 1 : k + 2] == [q] or (k > 0 and lst[k - 1] == q)
-
-    def _drop(self, marks: tuple[int, ...], where: dict[int, int], dirty: set[int]) -> None:
-        """Remove the crossings that ``marks`` are passes of; the left
-        neighbour of each removed mark becomes dirty."""
+    def _drop(self, marks: tuple[int, ...], where: dict[int, int], dirty: dict[int, int], *at: tuple[int, int]) -> None:
+        """Remove the crossings that ``marks`` are passes of, adjacent pairs
+        at the ``(strand, position)`` places ``at``: one slice each, the
+        later pair first if both share a strand, so the earlier one's place
+        holds.  Each pair's left neighbour becomes dirty at its position."""
         for m in marks:
-            for mk in (m, m ^ 2):
-                lst = self.strands[where.pop(mk)]
-                k = lst.index(mk)
-                del lst[k]
-                if k:
-                    dirty.add(lst[k - 1])
+            del where[m], where[m ^ 2]
+        for s, k in sorted(at, reverse=True):
+            lst = self.strands[s]
+            del lst[k : k + 2]
+            if k:
+                dirty[lst[k - 1]] = k - 1
 
     # -- export --------------------------------------------------------------
 
@@ -374,18 +373,27 @@ class OuAccumulator:
     one letter per node.
     """
 
-    __slots__ = ("_scratch", "max_iters")
+    __slots__ = ("_scratch", "_max_iters")
 
     def __init__(self, n: int, max_iters: int = DEFAULT_MAX_ITERS):
         _check_count(n)
-        _check_count(max_iters, 0, "max_iters")
-        self._scratch = _Scratch([[] for _ in range(n)], 0)
         self.max_iters = max_iters
+        self._scratch = _Scratch([[] for _ in range(n)], 0)
+
+    @property
+    def max_iters(self) -> int:
+        """The glide cap of each push, an int >= 0, checked when set."""
+        return self._max_iters
+
+    @max_iters.setter
+    def max_iters(self, value: int) -> None:
+        _check_count(value, 0, "max_iters")
+        self._max_iters = value
 
     def copy(self) -> "OuAccumulator":
         dup = OuAccumulator.__new__(OuAccumulator)
         dup._scratch = self._scratch.copy()
-        dup.max_iters = self.max_iters
+        dup._max_iters = self._max_iters
         return dup
 
     def push(self, i: int, j: int, sign: int) -> None:
@@ -406,7 +414,7 @@ class OuAccumulator:
             raise StrandCountMismatch(f"s{i},{j} is not a generator on {n} strands")
         if i == j or sign not in (1, -1):
             raise ValueError(f"invalid generator s{i},{j} of sign {sign!r}")
-        self._scratch.append_crossing(i, j, sign, self.max_iters)
+        self._scratch.append_crossing(i, j, sign, self._max_iters)
 
     def crossing_count(self) -> int:
         return self._scratch.crossing_count()
@@ -446,7 +454,7 @@ def cascade_graph(d: Diagram) -> tuple[list[tuple[int, int, bool]], list[tuple[i
 def is_reduced(d: Diagram) -> bool:
     """True iff no R1 kink and no R2 cancelling pair is present."""
     scratch = _Scratch.from_diagram(d)
-    scratch.reduce(scratch.marks())
+    scratch.reduce()
     return scratch.crossing_count() == len(d.crossings)
 
 
@@ -468,7 +476,7 @@ def reduce_r12(d: Diagram) -> Diagram:
     in the same places, so the tidied result is unique.
     """
     scratch = _Scratch.from_diagram(d)
-    scratch.reduce(scratch.marks())
+    scratch.reduce()
     return scratch.to_diagram()
 
 
@@ -517,7 +525,7 @@ def _normalized(d: Diagram, max_iters: int, rng: random.Random | None = None) ->
     0 under one glide budget, or with ``rng`` glide at random slots."""
     _check_count(max_iters, 0, "max_iters")
     scratch = _Scratch.from_diagram(d)
-    where = scratch.reduce(scratch.marks())
+    where = scratch.reduce()
     if not scratch.is_acyclic():
         raise CyclicDiagram("cyclic")
     glides = 0

@@ -1,8 +1,9 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from helpers import oracle_renumber, random_vpb_word
+from helpers import oracle_renumber, random_gauss, random_vpb_word
 
 import outangles as ou
 from outangles import Crossing, Diagram
@@ -119,6 +120,42 @@ def test_compose_strand_mismatch():
         ou.compose(ou.identity_diagram(2), ou.identity_diagram(2), ou.identity_diagram(3))
 
 
+def test_one_pass_compose_is_the_fold_on_random_gauss_diagrams():
+    # rational keys, crossings in random order, and on 1 strand both passes
+    # of every crossing on one strand
+    rng = random.Random(71)
+    same_strand = 0
+    for _ in range(200):
+        n = rng.randrange(1, 4)
+        ds = [random_gauss(rng, n, rng.randrange(0, 5)) for _ in range(rng.randrange(1, 5))]
+        same_strand += sum(c.over[0] == c.under[0] for d in ds for c in d.crossings)
+        assert ou.compose(*ds) == functools.reduce(ou.compose, ds, ou.identity_diagram(n))
+        assert ou.compose(ds[0]) == ou.tidy(ds[0])
+        stack = ds + ds[:1]
+        for at in range(len(stack)):
+            other = random_gauss(rng, n % 3 + 1, rng.randrange(0, 3))
+            with pytest.raises(ou.StrandCountMismatch):
+                ou.compose(*stack[:at], other, *stack[at + 1 :])
+    assert same_strand > 100
+
+
+def test_iota_sorts_no_diagram_per_letter(monkeypatch):
+    calls = []
+    inner = ou.diagram._strand_sequences
+
+    def counting(d):
+        calls.append(d)
+        return inner(d)
+
+    monkeypatch.setattr(ou.diagram, "_strand_sequences", counting)
+    word = ou.parse_vpb("vpb 3: " + " ".join(["s1,2 s2,3' s3,1"] * 4))
+    assert len(word.letters) == 12
+    d = ou.iota(word)
+    assert calls == [] and ou.crossing_number(d) == 12
+    ou.tidy(d)
+    assert calls == [d]
+
+
 def test_crossing_number_examples():
     assert ou.crossing_number(ou.identity_diagram(4)) == 0
     assert ou.crossing_number(ou.iota(ou.parse_vpb("vpb 2: s1,2 s2,1 s1,2"))) == 3
@@ -190,6 +227,10 @@ def test_invalid_diagram_construction():
         Diagram(2, (Crossing(1, (1, 0.5), (2, 1)),), (2, 3))  # float key
     with pytest.raises(ou.InvalidDiagram, match="sign must be"):
         Diagram(2, (Crossing(2, (1, 1), (2, 2)),), (3, 4))  # bad sign
+    with pytest.raises(ou.InvalidDiagram, match="crossing sign must be \\+1 or -1, got True"):
+        Crossing(True, (1, 1), (2, 3))  # a bool is no sign
+    with pytest.raises(ou.InvalidDiagram, match="crossing sign must be \\+1 or -1, got -1.0"):
+        Crossing(-1.0, (1, 1), (2, 3))  # nor is a float
     with pytest.raises(ou.InvalidDiagram, match="strand 3 out of range 1..2"):
         Diagram(2, (Crossing(1, (3, 1), (2, 2)),), (3, 4))  # strand out of range
     with pytest.raises(ou.InvalidDiagram, match="duplicate"):

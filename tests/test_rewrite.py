@@ -299,6 +299,52 @@ def test_normal_form_matches_full_scan_reference():
     assert 0 < cyclic < len(cases) // 2
 
 
+def test_normal_form_matches_reference_on_one_and_two_strands(monkeypatch):
+    # on one or two strands an R2's two pairs, and a glide's two insertions,
+    # often share a strand, so positions marked dirty go stale and the
+    # settle loop removes the later pair of an R2 first
+    rng = random.Random(79)
+    cases = [random_gauss(rng, rng.randrange(1, 3), rng.randrange(0, 11)) for _ in range(500)]
+    cases += [ou.iota(random_vpb_word(rng, 2, rng.randrange(1, 9))) for _ in range(100)]
+    shared = {"r2": 0}
+    inner_drop = ou.rewrite._Scratch._drop
+
+    def counting_drop(self, marks, where, dirty, *at):
+        if len(at) == 2 and at[0][0] == at[1][0]:
+            shared["r2"] += 1
+        inner_drop(self, marks, where, dirty, *at)
+
+    monkeypatch.setattr(ou.rewrite._Scratch, "_drop", counting_drop)
+    cyclic = glided = 0
+    for d in cases:
+        try:
+            expect, glides = _reference_normal_form(d)
+        except ou.CyclicDiagram:
+            cyclic += 1
+            with pytest.raises(ou.CyclicDiagram):
+                ou.ou_normal_form(d)
+            continue
+        assert ou.ou_normal_form(d, max_iters=glides) == expect
+        if glides:
+            glided += 1
+            with pytest.raises(ou.CapExceeded):
+                ou.ou_normal_form(d, max_iters=glides - 1)
+    assert len(cases) - cyclic >= 300 and glided > 80 and shared["r2"] > 100
+
+
+def test_accumulator_max_iters_is_checked_when_set():
+    acc = ou.OuAccumulator(3, max_iters=5)
+    for cap in (2.5, True, -1):
+        with pytest.raises(ValueError, match=re.escape(f"max_iters must be an int >= 0, got {cap!r}")):
+            acc.max_iters = cap
+        assert acc.max_iters == 5
+    acc.max_iters = 0
+    assert acc.copy().max_iters == 0
+    acc.push(1, 2, 1)  # no glide: the cap is not reached
+    with pytest.raises(ou.CapExceeded, match="no OU form after 0 glide moves"):
+        acc.push(2, 1, 1)
+
+
 def test_accumulator_matches_whole_word_normal_form():
     rng = random.Random(59)
     words = [random_vpb_word(rng, rng.randrange(2, 5), rng.randrange(0, 12)) for _ in range(60)]
