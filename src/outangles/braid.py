@@ -206,9 +206,23 @@ def permuted_key(perm: Permutation, key: bytes) -> bytes:
 
 
 def classical_braids_equal(b1: ClassicalBraidWord, b2: ClassicalBraidWord) -> bool:
-    if b1.n != b2.n:
-        raise StrandCountMismatch(f"words on {b1.n} and {b2.n} strands")
-    return classical_key(b1) == classical_key(b2)
+    """Equality of classical braids: equal :func:`classical_key` values."""
+    return _permuted_braids_equal(*classical_to_vpb(b1), *classical_to_vpb(b2))
+
+
+def _permuted_braids_equal(
+    w1: VirtualBraidWord,
+    p1: Permutation,
+    w2: VirtualBraidWord,
+    p2: Permutation,
+    max_iters: int = DEFAULT_MAX_ITERS,
+) -> bool:
+    """Equality of two braids, each a pure word and an end permutation (see
+    :func:`classical_to_vpb`).  Different permutations decide it without
+    normalizing either word."""
+    if w1.n != w2.n:
+        raise StrandCountMismatch(f"words on {w1.n} and {w2.n} strands")
+    return p1 == p2 and braids_equal(w1, w2, max_iters)
 
 
 def _parse_strand_count(digits: str) -> int:

@@ -135,7 +135,7 @@ def _run(args: argparse.Namespace, max_iters: int) -> int:
     if args.command == "eq":
         w1, p1 = _parse_any_word(args.word1)
         w2, p2 = _parse_any_word(args.word2)
-        same = braid.braids_equal(w1, w2, max_iters) and p1 == p2
+        same = braid._permuted_braids_equal(w1, p1, w2, p2, max_iters)
         print("equal" if same else "distinct")
         return 0
 

@@ -210,15 +210,39 @@ def compose(d1: Diagram, *rest: Diagram) -> Diagram:
     return _assemble([[mk for _, _, mk in sorted(bucket)] for bucket in buckets])
 
 
+# _DECIMAL[k] == str(k) up to the largest key written so far.  Growing it
+# replaces the list instead of extending it, so a thread that read the old
+# one still finds correct strings in it.
+_DECIMAL: list[str] = ["0"]
+
+
 def _canonical_text(strands: list[list[int]]) -> str:
     """Canonical text of the tidied diagram with the given per-strand
-    orders of marks (see :func:`_mark`)."""
-    where, eos = _tidy_keys(strands)
-    lines = [f"vd {len(strands)}"]
-    for mk, (_, o) in where.items():
+    orders of marks (see :func:`_mark`).
+
+    Most of the cost of this text was converting keys to decimal, so every
+    key is written through the shared table ``_DECIMAL``, grown here up to
+    the largest key, ``2c + n``.  The marks are numbered as
+    :func:`_tidy_keys` numbers them, but with bare int keys: its
+    ``(strand, key)`` pairs cost more than the text needs."""
+    global _DECIMAL
+    key: dict[int, int] = {}
+    eos: list[int] = []
+    k = 1
+    for seq in strands:
+        for mk in seq:
+            key[mk] = k
+            k += 1
+        eos.append(k)
+        k += 1
+    decimal = _DECIMAL
+    if len(decimal) < k:
+        decimal = _DECIMAL = decimal + list(map(str, range(len(decimal), k)))
+    lines = ["vd " + decimal[len(strands)]]
+    for mk, o in key.items():
         if mk & 2:
-            lines.append(f"x {'+' if mk & 1 else '-'} {o} {where[mk ^ 2][1]}")
-    lines.append("eos " + " ".join(map(str, eos)))
+            lines.append(f"x {'+' if mk & 1 else '-'} {decimal[o]} {decimal[key[mk ^ 2]]}")
+    lines.append("eos " + " ".join([decimal[e] for e in eos]))
     return "\n".join(lines) + "\n"
 
 

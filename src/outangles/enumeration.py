@@ -173,14 +173,18 @@ def _root(n: int, max_iters: int) -> tuple:
     return (), OuAccumulator(n, max_iters), list(range(1, n + 1))
 
 
-def _children(states, kind: str, letters):
+def _children(states: list, kind: str, letters):
     """The children of one level's ``(word, acc, perm)`` states, as
     ``(parent word, letter, child acc, child perm)``: each word extended by
     every letter of ``letters(word)``, in parent order then in the order
     given, which must be generator order.  A level built from these children
     in that order stays in lexicographic word order, letters compared in
-    generator order."""
-    for word, acc, perm in states:
+    generator order.  The list ``states`` is emptied as it is read, so a
+    parent is freed once its children are made, not with its whole level;
+    that lowers the peak memory of the frontier's deepest level."""
+    states.reverse()
+    while states:
+        word, acc, perm = states.pop()
         for h in letters(word):
             child = acc.copy()
             yield word, h, child, _push_letter(child, perm, h, kind)

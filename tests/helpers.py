@@ -56,6 +56,16 @@ def oracle_renumber(d: Diagram) -> Diagram:
     return Diagram(d.n, tuple(crossings), tuple(eos))
 
 
+def oracle_serialize(d: Diagram) -> str:
+    """Canonical text of :func:`oracle_renumber`'s tidy form, every key
+    written by ``str``."""
+    t = oracle_renumber(d)
+    lines = [f"vd {t.n}"]
+    lines += [f"x {'+' if c.sign > 0 else '-'} {c.over[1]} {c.under[1]}" for c in t.crossings]
+    lines.append("eos " + " ".join(str(k) for k in t.eos_keys))
+    return "\n".join(lines) + "\n"
+
+
 def cascade_edges(d: Diagram) -> tuple[list[tuple[int, object]], list[tuple[object, object]]]:
     """Mark nodes and cascade edges (strand successors plus over-to-under
     drops), built straight from the keys."""

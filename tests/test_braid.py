@@ -181,6 +181,21 @@ def test_classical_braids_equal_uses_permutation():
     )
 
 
+def test_braids_with_different_permutations_are_not_normalized(monkeypatch):
+    # (1 2)^40 1 ends in a transposition and 1 2 in a 3-cycle: distinct
+    # without a normal form, and the keys still tell them apart
+    long_word = ClassicalBraidWord(3, (1, 2) * 40 + (1,))
+    short_word = ClassicalBraidWord(3, (1, 2))
+    assert ou.classical_key(long_word) != ou.classical_key(short_word)
+    calls = []
+    monkeypatch.setattr(ou.braid, "ch", lambda *args: calls.append(args))
+    assert not ou.classical_braids_equal(long_word, short_word)
+    assert not ou.classical_braids_equal(ClassicalBraidWord(3, (1,)), ClassicalBraidWord(3, ()))
+    assert calls == []
+    with pytest.raises(ou.StrandCountMismatch):
+        ou.classical_braids_equal(ClassicalBraidWord(3, (1,)), ClassicalBraidWord(4, (1, 2)))
+
+
 def test_word_parsing_and_formatting():
     w = ou.parse_vpb("vpb 3: s2,1' s1,3 s3,1")
     assert w.text() == "vpb 3: s2,1' s1,3 s3,1"

@@ -27,6 +27,16 @@ def test_eq_classical_words(capsys):
     assert capsys.readouterr().out == "distinct\n"
 
 
+def test_eq_compares_end_permutations_first(capsys):
+    # the permutations differ, so no glide is needed to tell the words apart
+    assert main(["--max-iters", "0", "eq", "br 3: 1 2 1 2 -1 2", "br 3: 1"]) == 0
+    assert capsys.readouterr().out == "distinct\n"
+    assert main(["--max-iters", "0", "eq", "vpb 3: s1,2", "br 3: 1"]) == 0
+    assert capsys.readouterr().out == "distinct\n"
+    assert main(["--max-iters", "0", "eq", "br 3: 1 2 1", "br 3: 2 1 2"]) == 1
+    assert "no OU form after 0 glide moves" in capsys.readouterr().err
+
+
 def test_eq_strand_mismatch_is_domain_error(capsys):
     assert main(["eq", "vpb 2: s1,2", "vpb 3: s1,2"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import oracle_renumber, random_gauss, random_vpb_word
+from helpers import oracle_renumber, oracle_serialize, random_gauss, random_vpb_word
 
 import outangles as ou
-from outangles import Crossing, Diagram
+from outangles import Crossing, Diagram, diagram
 
 
 def test_identity_diagram_tidy():
@@ -168,6 +168,33 @@ def test_canonical_key_examples():
     flipped = Diagram(2, (Crossing(-1, (1, 1), (2, 3)),), (2, 4))
     assert ou.canonical_key(flipped) != ou.canonical_key(plain)
     assert ou.canonical_key(ou.tidy(scaled)) == ou.canonical_key(scaled)
+
+
+def test_canonical_text_writes_every_key_as_str_does(monkeypatch):
+    # the shared table of decimal strings against the plain formatter: on
+    # tabulation states, on a diagram whose keys run past every key written
+    # so far in this process, and on 1,000 strands
+    states = []
+    inner = ou.OuAccumulator.canonical_text
+
+    def recording(self):
+        text = inner(self)
+        states.append((self.to_diagram(), text))
+        return text
+
+    monkeypatch.setattr(ou.OuAccumulator, "canonical_text", recording)
+    ou.tabulate(3, 3, "virtual")
+    ou.tabulate(3, 7, "classical")
+    monkeypatch.undo()
+    assert len(states) > 1000
+    for d, text in states:
+        assert text == oracle_serialize(d)
+    top = len(diagram._DECIMAL)
+    d = random_gauss(random.Random(71), 3, top // 2 + 5)  # largest key 2c + 3 > top
+    assert ou.serialize(d) == oracle_serialize(d)
+    assert len(diagram._DECIMAL) > top
+    wide = ou.identity_diagram(1000)
+    assert ou.serialize(wide) == oracle_serialize(wide)
 
 
 def test_parse_trivial_and_generator():

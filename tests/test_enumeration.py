@@ -186,6 +186,18 @@ def test_frontier_pushes_only_children_with_a_representative_suffix(monkeypatch,
     assert sum(pushes) == total
 
 
+def test_children_free_each_parent_once_its_children_are_made():
+    # the frontier's level list is emptied as it is read, in order, so only
+    # the parents not yet extended stay referenced
+    level = [ou.enumeration._root(3, 100) for _ in range(3)]
+    level = [((k,), acc, perm) for k, (_, acc, perm) in enumerate(level, start=1)]
+    children = ou.enumeration._children(level, "classical", lambda word: [1, -2])
+    assert [next(children)[:2], next(children)[:2]] == [((1,), 1), ((1,), -2)]
+    assert sorted(word for word, _, _ in level) == [(2,), (3,)]
+    assert [child[:2] for child in children] == [((2,), 1), ((2,), -2), ((3,), 1), ((3,), -2)]
+    assert level == []
+
+
 def test_tabulate_monotone_cumulative():
     report = ou.tabulate(3, 3, "virtual")
     cum = report.cumulative()

@@ -524,6 +524,57 @@ def test_push_matches_reference_normal_form(monkeypatch):
     assert removals[1] and removals[2]
 
 
+def test_push_glides_settle_the_left_neighbours_of_their_insertions(monkeypatch):
+    # a glide on a push walk hands the settle loop the mark left of each
+    # insertion, at its position, and a last inserted mark only when the two
+    # last inserted marks are one crossing's: the one beside the pushed under
+    # mark; a glide of a whole-diagram walk hands it both last inserted marks
+    Scratch = ou.rewrite._Scratch
+    inner_append, inner_glide = Scratch.append_crossing, Scratch.glide
+    pushed = []
+    seen = {"one crossing": 0, "two crossings": 0, "whole": 0}
+
+    def recording_append(self, *args):
+        pushed.append(self._next)
+        try:
+            inner_append(self, *args)
+        finally:
+            pushed.pop()
+
+    def checking_glide(self, s, i, *args):
+        x, y = self.strands[s][i], self.strands[s][i + 1]
+        new = (self._next, self._next + 1)
+        dirty = inner_glide(self, s, i, *args)
+        lefts, lasts = set(), []
+        for anchor in (x ^ 2, y ^ 2):
+            lst = next(lst for lst in self.strands if anchor in lst)
+            k = lst.index(anchor)
+            assert lst[k - 1] >> 2 in new and lst[k + 1] >> 2 in new
+            if k > 1:
+                lefts.add(lst[k - 2])
+            lasts.append(lst[k + 1])
+        if pushed:
+            assert y >> 2 == pushed[-1]  # the mover is the pushed over mark
+            one = lasts[0] >> 2 == lasts[1] >> 2
+            assert set(dirty) == lefts | ({lasts[1]} if one else set())
+            for mk, at in dirty.items():
+                assert next(lst for lst in self.strands if mk in lst)[at] == mk
+            seen["one crossing" if one else "two crossings"] += 1
+        else:
+            assert set(lasts) <= set(dirty)
+            seen["whole"] += 1
+        return dirty
+
+    monkeypatch.setattr(Scratch, "append_crossing", recording_append)
+    monkeypatch.setattr(Scratch, "glide", checking_glide)
+    ou.tabulate(3, 6, "classical")
+    ou.tabulate(3, 3, "virtual")
+    for k in range(2, 7):
+        ou.ou_normal_form(ou.iota(twist_word(k)))
+        ou.ch(ou.classical_to_vpb(ClassicalBraidWord(3, (1, 2) * k))[0])
+    assert min(seen.values()) > 100
+
+
 def test_push_rejects_a_generator_outside_its_strands():
     # a strand count that would not print as one is refused up front
     for n in (-2, 0, True, 3.0):
