@@ -95,6 +95,9 @@ class Diagram:
         n = self.n
         if type(n) is not int or n < 1:
             raise InvalidDiagram(f"strand count must be a positive integer, got {n!r}")
+        # tuples keep the diagram immutable, hashable and equal to its tidy form
+        if not isinstance(self.crossings, tuple) or not isinstance(self.eos_keys, tuple):
+            raise InvalidDiagram("crossings and end-of-strand keys must be tuples")
         if len(self.eos_keys) != n:
             raise InvalidDiagram(f"expected {n} end-of-strand keys, got {len(self.eos_keys)}")
         for k in self.eos_keys:

@@ -15,6 +15,7 @@ redundant words; every braid keeps a proud word of its minimal length.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -109,14 +110,9 @@ def _proud_letters(n: int, kind: str):
     """``letters(word)``: the proud followers of ``word``'s last letter, and
     every generator after the empty word.  Each generator's follower list is
     built on its first lookup."""
-
-    class Followers(dict):
-        def __missing__(self, g):
-            self[g] = proud_followers(g, n, kind)
-            return self[g]
-
-    followers = Followers({None: generators(n, kind)})
-    return lambda word: followers[word[-1] if word else None]
+    first = generators(n, kind)
+    followers = functools.cache(lambda g: proud_followers(g, n, kind))
+    return lambda word: followers(word[-1]) if word else first
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Rewriting of virtual tangle diagrams to reduced over-then-under form.
 
-The pipeline: remove every kink (R1) and cancelling pair (R2); check once
-that a diagram from outside has no closed cascade path; then repeatedly fix
-the first under-then-over interval with a glide move.  For cascade-acyclic
-diagrams this terminates in the unique reduced OU representative of the
-diagram's equivalence class, independently of the order in which patterns
-are removed and intervals are fixed.  States the engine built itself (the
+The pipeline: remove every kink (R1) and cancelling pair (R2); check once,
+by walking its strands (:meth:`_Scratch.is_acyclic`), that a diagram from
+outside has no closed cascade path; then repeatedly fix the first
+under-then-over interval with a glide move.  For cascade-acyclic diagrams
+this terminates in the unique reduced OU representative of the diagram's
+equivalence class, independently of the order in which patterns are
+removed and intervals are fixed.  States the engine built itself (the
 braid accumulator's, and division's candidate quotients) are acyclic by
 construction and are not checked.
 
@@ -137,10 +138,12 @@ class _Scratch:
         and R b = ``X_{s2}[-j2, -i2]`` glide (module docstring) to R of the
         glide's output at ``(x, y)``: ``X_{s1}[-i2, -i1]``,
         ``X_{s2}[-j2, -j1]``, ``X_{s1*s2}[-j2 - s2/3, -i1 + s1/3]`` and
-        ``X_{-s1*s2}[-j2 + s2/3, -i1 - s1/3]``.  R reverses every edge of
-        :meth:`cascade_edges`, so it runs a closed cascade path backwards and
-        keeps acyclicity.  So R NF(D) is reduced OU and equivalent to R D: by
-        uniqueness, NF(R D)."""
+        ``X_{-s1*s2}[-j2 + s2/3, -i1 - s1/3]``.  R reverses every edge of the
+        cascade digraph (:func:`cascade_graph`): strand successors run the
+        other way, and each crossing drops from its old under mark, now its
+        over mark, to its old over mark.  So R runs a closed cascade path
+        backwards and keeps acyclicity.  So R NF(D) is reduced OU and
+        equivalent to R D: by uniqueness, NF(R D)."""
         return _Scratch([[mk ^ 2 for mk in reversed(s)] for s in self.strands], self._next)
 
     # -- full scans ---------------------------------------------------------
@@ -153,39 +156,32 @@ class _Scratch:
                     out.append((s, i))
         return out
 
-    def cascade_edges(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """The digraph walked by cascade paths: the marks in traversal order,
-        and edges as index pairs, first from each mark to its strand
-        successor, then from each over mark down to its under mark in
-        crossing-id order."""
-        marks: list[int] = []
-        edges: list[tuple[int, int]] = []
-        for lst in self.strands:
-            start = len(marks)
-            marks.extend(lst)
-            edges.extend((v, v + 1) for v in range(start, len(marks) - 1))
-        index = {mk: v for v, mk in enumerate(marks)}
-        edges.extend((index[mk], index[mk ^ 2]) for mk in sorted(m for m in marks if m & 2))
-        return marks, edges
-
     def is_acyclic(self) -> bool:
-        """No closed cascade path: :meth:`cascade_edges` is acyclic."""
-        marks, edges = self.cascade_edges()
-        indeg = [0] * len(marks)
-        adj: list[list[int]] = [[] for _ in marks]
-        for u, v in edges:
-            adj[u].append(v)
-            indeg[v] += 1
-        stack = [v for v, deg in enumerate(indeg) if deg == 0]
-        seen = 0
-        while stack:
-            v = stack.pop()
-            seen += 1
-            for w in adj[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    stack.append(w)
-        return seen == len(marks)
+        """No closed cascade path: Kahn's algorithm on the cascade digraph
+        (:func:`cascade_graph`), walked strand by strand.  A mark's only
+        in-edges are from its strand predecessor and, for an under mark,
+        from its over mark.  So each strand's head, a ``(strand, position)``
+        pair, passes marks until an under mark whose over mark is not yet
+        passed, parks there, and resumes when that over mark is passed.  The
+        digraph is acyclic exactly when every head reaches its strand's end,
+        that is when no head is left parked."""
+        passed: set[int] = set()
+        waiting: dict[int, tuple[int, int]] = {}  # over mark -> the head parked at its under mark
+        heads = [(s, 0) for s in range(len(self.strands))]
+        while heads:
+            s, k = heads.pop()
+            lst = self.strands[s]
+            while k < len(lst):
+                mk = lst[k]
+                if mk & 2:
+                    passed.add(mk)
+                    if mk in waiting:
+                        heads.append(waiting.pop(mk))
+                elif mk ^ 2 not in passed:
+                    waiting[mk ^ 2] = (s, k)
+                    break
+                k += 1
+        return not waiting
 
     # -- the glide move ----------------------------------------------------
 
@@ -479,10 +475,11 @@ def cascade_graph(d: Diagram) -> tuple[list[tuple[int, int, bool]], list[tuple[i
     under mark in crossing-index order.  ``d`` is acyclic exactly when this
     digraph has no directed cycle.
     """
-    scratch = _Scratch.from_diagram(d)
-    _, edges = scratch.cascade_edges()
-    nodes = [(s + 1, mk >> 2, bool(mk & 2)) for s, lst in enumerate(scratch.strands) for mk in lst]
-    return nodes, edges
+    strands = _strand_sequences(d)
+    index = {mk: v for v, mk in enumerate(mk for lst in strands for mk in lst)}
+    edges = [(index[mk], index[mk] + 1) for lst in strands for mk in lst[:-1]]
+    edges += [(index[mk], index[mk ^ 2]) for mk in sorted(index) if mk & 2]
+    return [(s + 1, mk >> 2, bool(mk & 2)) for s, lst in enumerate(strands) for mk in lst], edges
 
 
 def is_reduced(d: Diagram) -> bool:

@@ -249,6 +249,43 @@ def burau_matrix(n: int, letters) -> tuple:
     return tuple(tuple(tuple(sorted(p.items())) for p in row) for row in rows)
 
 
+def _free_inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-g for g in reversed(word))
+
+
+def _free_reduced(word: tuple[int, ...]) -> tuple[int, ...]:
+    """``word`` with every adjacent ``g, -g`` cancelled."""
+    out: list[int] = []
+    for g in word:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def artin_image(n: int, letters) -> tuple:
+    """Artin image of the classical word ``letters`` on ``n`` strands: the
+    images of the free generators x_1 .. x_n, each a freely reduced tuple of
+    signed indices (``-k`` is x_k's inverse).
+
+    Letter ``k`` acts by x_k -> x_k x_{k+1} x_k^-1, x_{k+1} -> x_k, and
+    ``-k`` by x_k -> x_{k+1}, x_{k+1} -> x_{k+1}^-1 x_k x_{k+1}; the images
+    compose by substitution.  Faithful on every braid group (Artin 1925), so
+    it decides braid equality.  Images grow exponentially on mixed-sign
+    words: keep the words short.
+    """
+    images = [(k,) for k in range(1, n + 1)]
+    for letter in letters:
+        a = abs(letter) - 1
+        x, y = images[a], images[a + 1]
+        if letter > 0:
+            images[a], images[a + 1] = _free_reduced(x + y + _free_inverse(x)), x
+        else:
+            images[a], images[a + 1] = y, _free_reduced(_free_inverse(y) + x + y)
+    return tuple(images)
+
+
 def twist_word(k: int) -> VirtualBraidWord:
     """The k-twist two-strand braid."""
     if k % 2 == 0:

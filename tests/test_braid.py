@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import burau_matrix, random_vpb_word, twist_word, word_is_proud
+from helpers import artin_image, burau_matrix, random_vpb_word, twist_word, word_is_proud
 
 import outangles as ou
 from outangles import BraidGenerator, ClassicalBraidWord, VirtualBraidWord
@@ -280,6 +280,15 @@ def test_burau_images_match_classical_tables(tab):
     assert _burau_histogram(4, 5) == tab(4, 5, "classical").count_exactly
 
 
+def test_artin_images_tell_classical_representatives_apart(tab):
+    # the Artin action is faithful on every braid group, so the
+    # representatives of distinct braids have distinct images
+    for n, m in ((3, 7), (4, 5), (5, 3)):
+        report = tab(n, m, "classical")
+        images = {artin_image(n, word.letters) for word, _, _ in ou.read_representatives(report.representatives_path)}
+        assert len(images) == sum(report.count_exactly)
+
+
 def test_conjugate_power_identity_under_both_deciders():
     # 2 1^k -2 = -1 2^k 1: sigma2 conjugates sigma1 to sigma1^-1 sigma2 sigma1
     for k in range(7):
@@ -287,6 +296,7 @@ def test_conjugate_power_identity_under_both_deciders():
         right = ClassicalBraidWord(3, (-1,) + (2,) * k + (1,))
         assert ou.classical_braids_equal(left, right)
         assert burau_matrix(3, left.letters) == burau_matrix(3, right.letters)
+        assert artin_image(3, left.letters) == artin_image(3, right.letters)
 
 
 def test_generator_diagram_is_built_once_per_generator():

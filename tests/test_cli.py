@@ -179,9 +179,12 @@ def test_worst_command(capsys):
     assert out[1] == "xi 4"
 
 
-def test_fibcheck_command(capsys):
+def test_fibcheck_command(capsys, monkeypatch):
     assert main(["fibcheck", "-m", "3"]) == 0
     assert "ok" in capsys.readouterr().out
+    monkeypatch.setattr(enumeration, "fibonacci_check", lambda m, counts: False)
+    assert main(["fibcheck", "-m", "1"]) == 1
+    assert capsys.readouterr().out == "mismatch within m=1..1\n"
 
 
 def test_fibcheck_obeys_the_glide_cap(capsys, monkeypatch):

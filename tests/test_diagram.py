@@ -236,6 +236,16 @@ def test_parse_syntax_errors_carry_position():
     with pytest.raises(ou.ParseError) as exc:
         ou.parse("vd 0\neos\n")
     assert (exc.value.line, exc.value.column) == (1, 4)
+    for text, line, message in (
+        ("vd 1\nx + a 1\neos 3\n", 2, "expected integer or p/q rational, got 'a'"),
+        ("vd 1\nx + 1\neos 3\n", 2, "expected 'x <\\+\\|-> <o> <u>'"),
+        ("vd 1\neos 1\neos 2\n", 3, "duplicate 'eos' line"),
+        ("vd 2\neos 1\n", 2, "expected 2 end-of-strand keys"),
+        ("vd 1\ny\neos 1\n", 2, "unexpected record 'y'"),
+    ):
+        with pytest.raises(ou.ParseError, match=message) as exc:
+            ou.parse(text)
+        assert exc.value.line == line
 
 
 def test_parse_semantic_errors():
@@ -243,6 +253,8 @@ def test_parse_semantic_errors():
         ou.parse("vd 2\neos 4 2\n")  # end keys must increase
     with pytest.raises(ou.InvalidDiagram):
         ou.parse("vd 2\nx + 2 3\neos 2 4\n")  # mark collides with end key
+    with pytest.raises(ou.InvalidDiagram, match="mark 5 on line 2 does not fall inside any strand"):
+        ou.parse("vd 1\nx + 1 5\neos 3\n")
 
 
 def test_invalid_diagram_construction():
@@ -275,3 +287,13 @@ def test_invalid_diagram_construction():
         Crossing(1, (True, 1), (2, 2))
     with pytest.raises(ou.InvalidDiagram, match="strand count must be a positive integer, got True"):
         Diagram(True, (), (1,))
+    with pytest.raises(ou.InvalidDiagram, match="under strand must be a positive integer, got 0"):
+        Crossing(1, (1, 1), (0, 2))
+    with pytest.raises(ou.InvalidDiagram, match="expected 2 end-of-strand keys, got 1"):
+        Diagram(2, (), (1,))
+    with pytest.raises(ou.InvalidDiagram, match="strand 2 out of range 1..1"):
+        Diagram(1, (Crossing(1, (1, 1), (2, 2)),), (3,))  # under strand out of range
+    # lists would make a diagram mutable, unhashable and unequal to its tidy form
+    for crossings, eos in (([], (1,)), ((), [1]), ([Crossing(1, (1, 1), (1, 2))], [3])):
+        with pytest.raises(ou.InvalidDiagram, match="crossings and end-of-strand keys must be tuples"):
+            Diagram(1, crossings, eos)

@@ -70,10 +70,19 @@ def test_cascade_graph_matches_acyclicity():
     cases = [ou.iota(random_vpb_word(rng, 3, rng.randrange(0, 5))) for _ in range(10)]
     cases.append(Diagram(1, (Crossing(1, (1, 2), (1, 1)),), (3,)))
     cases.append(ou.parse("vd 2\nx + 3 1\nx + 2 5\neos 4 6\n"))
-    for d in cases:
+    # random Gauss diagrams: the strand walk against the exhaustive path
+    # search and against a cycle search on the exported digraph
+    rng = random.Random(31)
+    gauss = [random_gauss(rng, rng.randint(1, 5), rng.randint(0, 8)) for _ in range(1000)]
+    for d in cases + gauss:
         nodes, edges = ou.cascade_graph(d)
         assert len(nodes) == 2 * ou.crossing_number(d)
-        assert ou.is_acyclic(d) == (not has_cycle(nodes, edges))
+        assert ou.is_acyclic(d) == oracle_is_acyclic(d) == (not has_cycle(nodes, edges))
+    # cyclic and acyclic diagrams, one-strand diagrams and self-crossings
+    # are all common
+    assert 400 < sum(not ou.is_acyclic(d) for d in gauss) < 700
+    assert sum(d.n == 1 for d in gauss) > 150
+    assert sum(any(c.over[0] == c.under[0] for c in d.crossings) for d in gauss) > 500
 
 
 def test_braid_diagrams_are_acyclic():
