@@ -205,9 +205,11 @@ def permuted_key(perm: Permutation, key: bytes) -> bytes:
     return ("perm " + " ".join(str(p) for p in perm) + "\n").encode("ascii") + key
 
 
-def classical_braids_equal(b1: ClassicalBraidWord, b2: ClassicalBraidWord) -> bool:
+def classical_braids_equal(
+    b1: ClassicalBraidWord, b2: ClassicalBraidWord, max_iters: int = DEFAULT_MAX_ITERS
+) -> bool:
     """Equality of classical braids: equal :func:`classical_key` values."""
-    return _permuted_braids_equal(*classical_to_vpb(b1), *classical_to_vpb(b2))
+    return _permuted_braids_equal(*classical_to_vpb(b1), *classical_to_vpb(b2), max_iters)
 
 
 def _permuted_braids_equal(

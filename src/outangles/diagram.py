@@ -63,8 +63,12 @@ class Crossing:
     def __post_init__(self) -> None:
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise InvalidDiagram(f"crossing sign must be +1 or -1, got {self.sign!r}")
+        # (strand, key) tuples keep the crossing, and so its diagram, immutable and hashable
+        over, under = self.over, self.under
+        if not (isinstance(over, tuple) and isinstance(under, tuple) and len(over) == len(under) == 2):
+            raise InvalidDiagram("crossing over and under marks must be (strand, key) tuples")
         # exact ints take the fast path; other keys go through _check_key
-        (a, ka), (b, kb) = self.over, self.under
+        (a, ka), (b, kb) = over, under
         if type(a) is not int or a < 1:
             raise InvalidDiagram(f"over strand must be a positive integer, got {a!r}")
         if type(ka) is not int:

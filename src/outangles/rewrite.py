@@ -31,9 +31,11 @@ steps back to the left of the over mark the glide moved; so every glide is
 at the first slot of the state in (strand, position) order.  A diagram from
 outside is walked strand by strand.  A crossing pushed at the tails of a
 reduced OU state (by the braid accumulator, and by division on a mirror
-image, :meth:`_Scratch.mirrored`) can make slots on one strand only, which
-is walked from beside the new mark.  On the tested tables a push glides
-once per under mark of its over strand.
+image, :meth:`_Scratch.mirrored`) is settled by one check of the two old
+tails (:meth:`_Scratch.append_crossing`): it is appended, or cancels the
+last crossing as an R2, or makes a slot on its over strand only, which is
+walked from beside the new mark.  Only that walk builds a strand lookup.
+On the tested tables a push glides once per under mark of its over strand.
 
 A glide replaces the two crossings ``a = X_{s1}[i1, j1]`` and
 ``b = X_{s2}[i2, j2]`` around a under-then-over interval ``(j1, i2)`` with::
@@ -114,20 +116,39 @@ class _Scratch:
         """Add one crossing at the tails of strands ``i`` and ``j`` (1-based)
         of a reduced OU state and bring it back to reduced OU form.
 
-        The two old tail marks are settled, then strand ``i`` is walked from
-        the left of the new over mark.  Every other strand stays OU: strand
-        ``j`` gains an under mark at its tail.  On strand ``i`` the new over
-        mark, if R1/R2 removal kept it, is the last mark, so its left
-        neighbour heads the only possible slot.  ``max_iters`` caps the
+        The two old tails decide the push, with no strand lookup:
+
+        * Slot: strand ``i``'s old tail is an under mark.  Both marks are
+          appended, and strand ``i`` is walked from the left of the new over
+          mark, whose left neighbour heads the only slot of the state.
+        * Cancel: strand ``i``'s old tail is an over mark whose partner is
+          strand ``j``'s old tail, of the sign opposite to the new
+          crossing's.  The new crossing and the old one are an R2, so both
+          tails are popped and nothing is appended.
+        * Otherwise both marks are appended, and the state is reduced OU.
+
+        The state was reduced OU, so the only new adjacencies are the old
+        tail of ``i`` with the new over mark, and the old tail of ``j`` with
+        the new under mark.  No R1 is there: the new crossing's id is fresh.
+        An R2 needs both pairs to be of one pass with opposite signs and
+        their partners adjacent, which is the cancel case; removing two tail
+        marks makes no new adjacency.  The cancel case needs an over tail on
+        strand ``i`` and the slot case an under one, so the slot case has
+        nothing to settle before its walk, and every other strand stays OU:
+        strand ``j`` gains an under mark at its tail.  ``max_iters`` caps the
         glides of the walk.
         """
         mk = _mark(self._next, True, sign)
         self._next += 1
         over, under = self.strands[i - 1], self.strands[j - 1]
-        dirty = {lst[-1]: len(lst) - 1 for lst in (over, under) if lst}
+        if over and under and over[-1] == under[-1] ^ 2 and (over[-1] ^ mk) & 3 == 1:  # cancel
+            over.pop()
+            under.pop()
+            return
         over.append(mk)
         under.append(mk ^ 2)
-        self._walk(i - 1, len(over) - 2, self._settle(self.strand_of(), dirty), 0, max_iters, push=True)
+        if len(over) > 1 and not over[-2] & 2:  # slot
+            self._walk(i - 1, len(over) - 2, self.strand_of(), 0, max_iters, push=True)
 
     def mirrored(self) -> "_Scratch":
         """The mirror image R: strands reversed, passes swapped, signs and

@@ -297,3 +297,6 @@ def test_invalid_diagram_construction():
     for crossings, eos in (([], (1,)), ((), [1]), ([Crossing(1, (1, 1), (1, 2))], [3])):
         with pytest.raises(ou.InvalidDiagram, match="crossings and end-of-strand keys must be tuples"):
             Diagram(1, crossings, eos)
+    for over, under in (([1, 1], (1, 2)), ((1, 1), [1, 2]), ([1, 1], [1, 2]), ((1,), (1, 2)), ((1, 1), (1, 2, 3))):
+        with pytest.raises(ou.InvalidDiagram, match=r"crossing over and under marks must be \(strand, key\) tuples"):
+            Crossing(1, over, under)

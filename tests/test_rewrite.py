@@ -388,6 +388,49 @@ def test_accumulator_pushes_run_no_cascade_check(monkeypatch):
     assert acc.canonical_text() == expect
 
 
+def test_pushes_without_a_glide_build_no_strand_lookup(monkeypatch):
+    # a push whose over strand ends in an over mark, or is empty, is
+    # appended or cancels the last crossing at the tails: no strand lookup
+    # and no settle loop
+    words = [
+        ou.parse_vpb("vpb 4: s1,2 s1,3 s1,4 s1,2'"),  # no tail matches
+        ou.parse_vpb("vpb 4: s1,2 s3,4 s1,2'"),  # a tail cancel across another letter
+        ou.parse_vpb("vpb 3: s1,2 s1,2'"),  # back to the empty state
+    ]
+    expect = {
+        (w.n, w.letters[:k]): ou.serialize(ou.ch(ou.VirtualBraidWord(w.n, w.letters[:k])))
+        for w in words
+        for k in range(1, len(w.letters) + 1)
+    }
+    generators = ou.vpb_generators(4)
+    expect.update({(4, (g,)): ou.serialize(ou.ch(ou.VirtualBraidWord(4, (g,)))) for g in generators})
+
+    def refuse(self, *args):
+        raise AssertionError("strand lookup or settle loop on a push that makes no glide")
+
+    monkeypatch.setattr(ou.rewrite._Scratch, "strand_of", refuse)
+    monkeypatch.setattr(ou.rewrite._Scratch, "_settle", refuse)
+    for w in words:
+        acc = ou.OuAccumulator(w.n)
+        for k, g in enumerate(w.letters, start=1):
+            acc.push(g.i, g.j, g.sign)
+            assert acc.canonical_text() == expect[w.n, w.letters[:k]]
+    assert acc.canonical_text() == "vd 3\neos 1 2 3\n"
+
+    pushed = []
+    inner = ou.OuAccumulator.push
+
+    def recording(self, i, j, sign):
+        inner(self, i, j, sign)
+        pushed.append((ou.BraidGenerator(i, j, sign), self.canonical_text()))
+
+    monkeypatch.setattr(ou.OuAccumulator, "push", recording)
+    assert ou.tabulate(4, 1, "virtual").count_exactly == (1, 24)
+    assert [g for g, _ in pushed] == generators
+    for g, text in pushed:
+        assert text == expect[4, (g,)]
+
+
 def test_normalization_checks_every_outside_diagram_once(monkeypatch):
     # every diagram from outside is checked once, whether or not it is
     # already OU after R1/R2 removal
@@ -503,6 +546,14 @@ def test_push_matches_reference_normal_form(monkeypatch):
         cut = rng.randrange(len(w.letters) + 1)
         g = rng.choice(ou.vpb_generators(w.n))
         words.append(ou.VirtualBraidWord(w.n, w.letters[:cut] + (g, g.inverse()) + w.letters[cut:]))
+    # w g v g^-1 with v off both of g's strands: g^-1 may cancel g at the
+    # tails across the letters of v
+    for _ in range(20):
+        w = random_vpb_word(rng, rng.randrange(4, 7), rng.randrange(0, 7))
+        g = rng.choice(ou.vpb_generators(w.n))
+        apart = [h for h in ou.vpb_generators(w.n) if not {h.i, h.j} & {g.i, g.j}]
+        v = tuple(rng.choice(apart) for _ in range(rng.randrange(1, 5)))
+        words.append(ou.VirtualBraidWord(w.n, w.letters + (g,) + v + (g.inverse(),)))
 
     Scratch = ou.rewrite._Scratch
     removals = {1: 0, 2: 0}
@@ -664,6 +715,11 @@ def test_cap_message_names_the_cap_on_every_path():
             assert str(exc.value) == message(k - 1)
     assert capped
 
+    long_pair = ClassicalBraidWord(3, (1, 2) * 30), ClassicalBraidWord(3, (2, 1) * 30)
+    with pytest.raises(ou.CapExceeded) as exc:
+        ou.classical_braids_equal(*long_pair, max_iters=10)
+    assert str(exc.value) == message(10)
+
 
 
 _WORD = ClassicalBraidWord(3, (1, 2, 1, 2, 1, 2))
@@ -674,6 +730,7 @@ _CAPPED = {
     "xi": lambda cap, path: ou.xi(ou.identity_diagram(2), cap),
     "braids_equal": lambda cap, path: ou.braids_equal(_VWORD, _VWORD, cap),
     "classical_key": lambda cap, path: ou.classical_key(_WORD, cap),
+    "classical_braids_equal": lambda cap, path: ou.classical_braids_equal(_WORD, _WORD, cap),
     "OuAccumulator": lambda cap, path: ou.OuAccumulator(3, max_iters=cap),
     "tabulate": lambda cap, path: ou.tabulate(3, 1, representatives_path=path, max_iters=cap),
     "divisors": lambda cap, path: ou.divisors(ou.identity_diagram(2), cap),
