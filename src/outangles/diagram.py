@@ -13,6 +13,11 @@ exactly ``1 .. 2c + n``, assigned by walking strand 1's marks in order, then
 its end-of-strand, then strand 2, and so on; its crossings are listed in
 increasing order of their over-mark.  Tidied diagrams serialize to a
 canonical text form whose exact bytes serve as an equality key.
+
+``Diagram(...)`` validates its arguments, so every diagram that comes from
+:func:`parse` or from user code is checked.  Diagrams the engine builds
+itself (:func:`tidy`, :func:`compose`, the rewriting state's export) are
+valid by construction and skip the checks; see :func:`_assemble`.
 """
 
 from __future__ import annotations
@@ -85,10 +90,12 @@ class Crossing:
 class Diagram:
     """A virtual tangle diagram on ``n`` strands.
 
-    Immutable; all operations return new diagrams.  Construction validates
-    the two structural invariants: mark keys on one strand are pairwise
-    distinct, and each strand's end-of-strand key is strictly the largest
-    key on that strand.
+    Immutable; all operations return new diagrams.  ``Diagram(...)``
+    validates its arguments: every crossing is a :class:`Crossing`, mark
+    keys on one strand are pairwise distinct, and each strand's
+    end-of-strand key is strictly the largest key on that strand.  Diagrams
+    built by the engine are valid by construction and are not re-checked
+    (see :func:`_assemble`).
     """
 
     n: int
@@ -109,6 +116,9 @@ class Diagram:
                 _check_key(k, "end-of-strand key")
         per_strand: list[list[Key]] = [[] for _ in range(n)]
         for c in self.crossings:
+            # a crossing's own checks ran only if it is a Crossing
+            if not isinstance(c, Crossing):
+                raise InvalidDiagram(f"crossings must be Crossing objects, got {c!r}")
             (a, ka), (b, kb) = c.over, c.under
             if a > n:
                 raise InvalidDiagram(f"strand {a} out of range 1..{n}")
@@ -151,11 +161,14 @@ def _mark(cid: int, over: bool, sign: int) -> int:
 def _strand_sequences(d: Diagram) -> list[list[int]]:
     """Per-strand marks (see :func:`_mark`) in key order, with
     ``d.crossings[cid]`` as crossing ``cid``."""
-    buckets: list[list[tuple[Key, int]]] = [[] for _ in range(d.n)]
+    # keys on one strand are distinct (a Diagram checks it), so each strand
+    # maps key to mark and sorts its keys alone, not (key, mark) pairs
+    buckets: list[dict[Key, int]] = [{} for _ in range(d.n)]
     for cid, c in enumerate(d.crossings):
-        buckets[c.over[0] - 1].append((c.over[1], _mark(cid, True, c.sign)))
-        buckets[c.under[0] - 1].append((c.under[1], _mark(cid, False, c.sign)))
-    return [[mk for _, mk in sorted(bucket)] for bucket in buckets]
+        mk = _mark(cid, True, c.sign)
+        buckets[c.over[0] - 1][c.over[1]] = mk
+        buckets[c.under[0] - 1][c.under[1]] = mk ^ 2
+    return [[bucket[k] for k in sorted(bucket)] for bucket in buckets]
 
 
 def _tidy_keys(strands: list[list[int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:
@@ -177,12 +190,34 @@ def _tidy_keys(strands: list[list[int]]) -> tuple[dict[int, tuple[int, int]], li
 
 def _assemble(strands: list[list[int]]) -> Diagram:
     """Build the tidied diagram with the given per-strand orders of marks
-    (see :func:`_mark`), one list per strand."""
+    (see :func:`_mark`), one list per strand.
+
+    Each object is made as the frozen dataclass ``__init__`` makes it, one
+    ``object.__setattr__`` per field in field order, but without
+    ``__post_init__``: the marks always describe a valid diagram.  They come
+    from a rewriting state, from :func:`tidy` or :func:`compose` of
+    diagrams that passed validation, or from a generator's one crossing,
+    and in each case every crossing id has exactly one over mark and one
+    under mark.  So the tidy keys are the distinct ints ``1 .. 2c + n``,
+    each below its strand's end key; strands are ints ``>= 1``; and bit 0
+    gives a sign of +1 or -1.  Every check of ``Crossing.__post_init__`` and
+    ``Diagram.__post_init__`` therefore already holds.  The cascade check
+    follows the same policy: it runs only on diagrams from outside."""
     where, eos = _tidy_keys(strands)
-    # a list, not a generator: tuple() of a generator allocates by guess and
-    # resizes, which raised the peak memory of large extraction graphs
-    crossings = [Crossing(1 if mk & 1 else -1, at, where[mk ^ 2]) for mk, at in where.items() if mk & 2]
-    return Diagram(len(strands), tuple(crossings), tuple(eos))
+    new, put = object.__new__, object.__setattr__
+    crossings = []
+    for mk, at in where.items():
+        if mk & 2:
+            c = new(Crossing)
+            put(c, "sign", 1 if mk & 1 else -1)
+            put(c, "over", at)
+            put(c, "under", where[mk ^ 2])
+            crossings.append(c)
+    d = new(Diagram)
+    put(d, "n", len(strands))
+    put(d, "crossings", tuple(crossings))
+    put(d, "eos_keys", tuple(eos))
+    return d
 
 
 def tidy(d: Diagram) -> Diagram:

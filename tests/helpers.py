@@ -429,6 +429,31 @@ def random_vpb_word(rng: random.Random, n: int, length: int) -> VirtualBraidWord
     return VirtualBraidWord(n, tuple(letters))
 
 
+def count_diagram_builds(monkeypatch) -> list[Diagram]:
+    """A list that collects every diagram built from now on: each one the
+    checked constructor makes (``Diagram.__post_init__``) and each one the
+    engine makes without the checks (``diagram._assemble``, rebound in every
+    module that imports it)."""
+    built: list[Diagram] = []
+    check = Diagram.__post_init__
+    assemble = outangles.diagram._assemble
+
+    def counting_check(self):
+        built.append(self)
+        check(self)
+
+    def counting_assemble(strands):
+        d = assemble(strands)
+        built.append(d)
+        return d
+
+    monkeypatch.setattr(Diagram, "__post_init__", counting_check)
+    for module in (outangles.diagram, outangles.braid, outangles.rewrite):
+        assert module._assemble is assemble
+        monkeypatch.setattr(module, "_assemble", counting_assemble)
+    return built
+
+
 # string hashes, and so the iteration order of sets of strings, differ between these
 HASH_SEEDS = ("0", "1", "31337")
 

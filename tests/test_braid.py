@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import artin_image, burau_matrix, random_vpb_word, twist_word, word_is_proud
+from helpers import artin_image, burau_matrix, count_diagram_builds, random_vpb_word, twist_word, word_is_proud
 
 import outangles as ou
 from outangles import BraidGenerator, ClassicalBraidWord, VirtualBraidWord
@@ -40,14 +40,7 @@ def test_iota_crossing_count_is_word_length():
 
 def test_iota_builds_one_diagram_per_letter_plus_two(monkeypatch):
     # the identity, one diagram per letter, and the one stack of them all
-    built = []
-    inner = ou.diagram.Diagram.__post_init__
-
-    def counting(self):
-        built.append(self)
-        inner(self)
-
-    monkeypatch.setattr(ou.diagram.Diagram, "__post_init__", counting)
+    built = count_diagram_builds(monkeypatch)
     rng = random.Random(5)
     for length in range(2, 13):
         w = random_vpb_word(rng, 4, length)

@@ -1,5 +1,6 @@
 import functools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -300,3 +301,40 @@ def test_invalid_diagram_construction():
     for over, under in (([1, 1], (1, 2)), ((1, 1), [1, 2]), ([1, 1], [1, 2]), ((1,), (1, 2)), ((1, 1), (1, 2, 3))):
         with pytest.raises(ou.InvalidDiagram, match=r"crossing over and under marks must be \(strand, key\) tuples"):
             Crossing(1, over, under)
+    # every element is a Crossing, so its own checks ran: a bare pair, or a
+    # look-alike with a sign of 5 that would serialize as "x +", is refused
+    with pytest.raises(ou.InvalidDiagram, match=r"crossings must be Crossing objects, got \(1, 2\)"):
+        Diagram(1, ((1, 2),), (3,))
+    fake = types.SimpleNamespace(sign=5, over=(1, 1), under=(1, 2))
+    with pytest.raises(ou.InvalidDiagram, match="crossings must be Crossing objects"):
+        Diagram(1, (fake,), (3,))
+
+
+def test_engine_built_diagrams_pass_the_constructor_checks():
+    # the engine builds its diagrams without the constructor checks; each
+    # must pass them and equal the one the checked constructor builds
+    rng = random.Random(26)
+    built = []
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        d, e = random_gauss(rng, n, rng.randrange(0, 7)), random_gauss(rng, n, rng.randrange(0, 7))
+        built += [ou.tidy(d), ou.compose(d, e), ou.compose(e, d, e)]
+        built += [ou.ou_normal_form(x) for x in (d, e) if ou.is_acyclic(x)]
+    tops = [ou.ch(ou.classical_to_vpb(ou.ClassicalBraidWord(4, (1, 2, 1, 3, 2, 1)))[0])]
+    for _ in range(20):
+        w = random_vpb_word(rng, rng.randrange(2, 6), rng.randrange(0, 9))
+        tops.append(ou.ch(w))
+        built += [ou.iota(w), tops[-1]]
+        built += [ou.generator_diagram(w.n, g) for g in w.letters]
+    for T in tops:
+        built.append(ou.peel(T, random.Random(0))[1])
+        built += [ou.quotient(T, g) for g in ou.divisors(T)]
+    assert sum(ou.crossing_number(D) for D in built) > 500
+    for D in built:
+        Diagram.__post_init__(D)
+        for c in D.crossings:
+            Crossing.__post_init__(c)
+        checked = Diagram(D.n, tuple(Crossing(c.sign, c.over, c.under) for c in D.crossings), D.eos_keys)
+        assert D == checked
+        assert hash(D) == hash(checked)
+        assert repr(D) == repr(checked)

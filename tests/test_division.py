@@ -5,6 +5,7 @@ from helpers import (
     _reference_normal_form,
     all_path_words,
     all_two_crossing_diagrams_two_strands,
+    count_diagram_builds,
     is_bipartite_undirected,
     random_reduced_ou,
     random_vpb_word,
@@ -323,14 +324,7 @@ def _half_twist(n):
 
 def test_division_builds_diagrams_only_for_nodes(monkeypatch):
     T = _half_twist(5)
-    built = []
-    inner = ou.diagram.Diagram.__post_init__
-
-    def counting(self):
-        built.append(self)
-        inner(self)
-
-    monkeypatch.setattr(ou.diagram.Diagram, "__post_init__", counting)
+    built = count_diagram_builds(monkeypatch)
     g = ou.extraction_graph(T)
     assert g.node_count() == 120 and not built
     built.clear()
