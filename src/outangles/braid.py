@@ -19,16 +19,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .diagram import (
-    Diagram,
-    _assemble,
-    _check_count,
-    _mark,
-    _parse_int,
-    canonical_key,
-    compose,
-    identity_diagram,
-)
+from .diagram import Crossing, Diagram, _check_count, _parse_int, canonical_key, compose, identity_diagram
 from .errors import ParseError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, ou_normal_form
 
@@ -99,7 +90,12 @@ class VirtualBraidWord:
 
     def __post_init__(self) -> None:
         _check_count(self.n)
+        # a tuple keeps the word hashable and equal to its parsed twin
+        if not isinstance(self.letters, tuple):
+            raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for g in self.letters:
+            if not isinstance(g, BraidGenerator):
+                raise ValueError(f"letters must be BraidGenerator objects, got {g!r}")
             if g.i > self.n or g.j > self.n:
                 raise ValueError(f"generator {g.token()} out of range for {self.n} strands")
 
@@ -122,6 +118,8 @@ class ClassicalBraidWord:
 
     def __post_init__(self) -> None:
         _check_count(self.n)
+        if not isinstance(self.letters, tuple):
+            raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for k in self.letters:
             if type(k) is not int or k == 0 or abs(k) > self.n - 1:
                 raise ValueError(f"letter {k!r} out of range for {self.n} strands")
@@ -143,10 +141,10 @@ def generator_diagram(n: int, g: BraidGenerator) -> Diagram:
 # a cached diagram holds one end-of-strand key per strand, and n may reach MAX_STRANDS
 @functools.lru_cache(maxsize=1024)
 def _generator_diagram(n: int, i: int, j: int, sign: int) -> Diagram:
-    strands: list[list[int]] = [[] for _ in range(n)]
-    strands[i - 1].append(_mark(0, True, sign))
-    strands[j - 1].append(_mark(0, False, sign))
-    return _assemble(strands)
+    # tidy keys, through the checked constructor: a mark on strand a comes
+    # after the a - 1 end keys and the marks of the strands below a
+    over, under = (i, i + (j < i)), (j, j + (i < j))
+    return Diagram(n, (Crossing(sign, over, under),), tuple(a + (i <= a) + (j <= a) for a in range(1, n + 1)))
 
 
 def iota(w: VirtualBraidWord) -> Diagram:

@@ -15,9 +15,10 @@ increasing order of their over-mark.  Tidied diagrams serialize to a
 canonical text form whose exact bytes serve as an equality key.
 
 ``Diagram(...)`` validates its arguments, so every diagram that comes from
-:func:`parse` or from user code is checked.  Diagrams the engine builds
-itself (:func:`tidy`, :func:`compose`, the rewriting state's export) are
-valid by construction and skip the checks; see :func:`_assemble`.
+:func:`parse`, from user code or from a braid generator is checked.
+Diagrams the engine builds from marks (:func:`tidy`, :func:`compose`, the
+rewriting state's export) are valid by construction and skip the checks;
+see :func:`_assemble`.
 """
 
 from __future__ import annotations
@@ -72,17 +73,11 @@ class Crossing:
         over, under = self.over, self.under
         if not (isinstance(over, tuple) and isinstance(under, tuple) and len(over) == len(under) == 2):
             raise InvalidDiagram("crossing over and under marks must be (strand, key) tuples")
-        # exact ints take the fast path; other keys go through _check_key
-        (a, ka), (b, kb) = over, under
-        if type(a) is not int or a < 1:
-            raise InvalidDiagram(f"over strand must be a positive integer, got {a!r}")
-        if type(ka) is not int:
-            _check_key(ka, "over mark key")
-        if type(b) is not int or b < 1:
-            raise InvalidDiagram(f"under strand must be a positive integer, got {b!r}")
-        if type(kb) is not int:
-            _check_key(kb, "under mark key")
-        if a == b and ka == kb:
+        for what, (a, k) in (("over", over), ("under", under)):
+            if type(a) is not int or a < 1:
+                raise InvalidDiagram(f"{what} strand must be a positive integer, got {a!r}")
+            _check_key(k, f"{what} mark key")
+        if over == under:
             raise InvalidDiagram("over and under marks of a crossing coincide")
 
 
@@ -93,9 +88,10 @@ class Diagram:
     Immutable; all operations return new diagrams.  ``Diagram(...)``
     validates its arguments: every crossing is a :class:`Crossing`, mark
     keys on one strand are pairwise distinct, and each strand's
-    end-of-strand key is strictly the largest key on that strand.  Diagrams
-    built by the engine are valid by construction and are not re-checked
-    (see :func:`_assemble`).
+    end-of-strand key is strictly the largest key on that strand.  Each
+    strand's keys are walked in crossing order, so the first bad key is the
+    one named.  Diagrams the engine builds from marks are valid by
+    construction and are not re-checked (see :func:`_assemble`).
     """
 
     n: int
@@ -112,30 +108,24 @@ class Diagram:
         if len(self.eos_keys) != n:
             raise InvalidDiagram(f"expected {n} end-of-strand keys, got {len(self.eos_keys)}")
         for k in self.eos_keys:
-            if type(k) is not int:
-                _check_key(k, "end-of-strand key")
+            _check_key(k, "end-of-strand key")
         per_strand: list[list[Key]] = [[] for _ in range(n)]
         for c in self.crossings:
             # a crossing's own checks ran only if it is a Crossing
             if not isinstance(c, Crossing):
                 raise InvalidDiagram(f"crossings must be Crossing objects, got {c!r}")
-            (a, ka), (b, kb) = c.over, c.under
-            if a > n:
-                raise InvalidDiagram(f"strand {a} out of range 1..{n}")
-            per_strand[a - 1].append(ka)
-            if b > n:
-                raise InvalidDiagram(f"strand {b} out of range 1..{n}")
-            per_strand[b - 1].append(kb)
+            for a, k in (c.over, c.under):
+                if a > n:
+                    raise InvalidDiagram(f"strand {a} out of range 1..{n}")
+                per_strand[a - 1].append(k)
         for a, (keys, eos) in enumerate(zip(per_strand, self.eos_keys), start=1):
-            if keys and (max(keys) >= eos or len(set(keys)) != len(keys)):
-                # walk the keys in order to name the first offending one
-                seen: set[Key] = set()
-                for k in keys:
-                    if k in seen:
-                        raise InvalidDiagram(f"duplicate mark key {k} on strand {a}")
-                    seen.add(k)
-                    if k >= eos:
-                        raise InvalidDiagram(f"end-of-strand key of strand {a} is not strictly maximal")
+            seen: set[Key] = set()
+            for k in keys:
+                if k in seen:
+                    raise InvalidDiagram(f"duplicate mark key {k} on strand {a}")
+                seen.add(k)
+                if k >= eos:
+                    raise InvalidDiagram(f"end-of-strand key of strand {a} is not strictly maximal")
 
 
 def identity_diagram(n: int) -> Diagram:
@@ -195,14 +185,14 @@ def _assemble(strands: list[list[int]]) -> Diagram:
     Each object is made as the frozen dataclass ``__init__`` makes it, one
     ``object.__setattr__`` per field in field order, but without
     ``__post_init__``: the marks always describe a valid diagram.  They come
-    from a rewriting state, from :func:`tidy` or :func:`compose` of
-    diagrams that passed validation, or from a generator's one crossing,
-    and in each case every crossing id has exactly one over mark and one
-    under mark.  So the tidy keys are the distinct ints ``1 .. 2c + n``,
-    each below its strand's end key; strands are ints ``>= 1``; and bit 0
-    gives a sign of +1 or -1.  Every check of ``Crossing.__post_init__`` and
-    ``Diagram.__post_init__`` therefore already holds.  The cascade check
-    follows the same policy: it runs only on diagrams from outside."""
+    from a rewriting state, or from :func:`tidy` or :func:`compose` of
+    diagrams that passed validation, and in each case every crossing id has
+    exactly one over mark and one under mark.  So the tidy keys are the
+    distinct ints ``1 .. 2c + n``, each below its strand's end key; strands
+    are ints ``>= 1``; and bit 0 gives a sign of +1 or -1.  Every check of
+    ``Crossing.__post_init__`` and ``Diagram.__post_init__`` therefore
+    already holds.  The cascade check follows the same policy: it runs only
+    on diagrams from outside."""
     where, eos = _tidy_keys(strands)
     new, put = object.__new__, object.__setattr__
     crossings = []

@@ -286,6 +286,26 @@ def artin_image(n: int, letters) -> tuple:
     return tuple(images)
 
 
+def mccool_image(n: int, letters) -> tuple:
+    """McCool image of the virtual pure braid word ``letters`` (a sequence
+    of :class:`BraidGenerator`) on ``n`` strands: the images of the free
+    generators x_1 .. x_n, each a freely reduced tuple of signed indices.
+
+    Letter ``s(i,j)^e`` acts by x_j -> x_i^-e x_j x_i^e and fixes the other
+    generators; the images compose by substitution, as in
+    :func:`artin_image`.  The action factors through the welded quotient
+    (Fenn, Rimanyi and Rourke 1997), so it is only sound for virtual
+    braids: equal braids have equal images, but unequal braids may too.
+    """
+    images = [(k,) for k in range(1, n + 1)]
+    for g in letters:
+        x = images[g.i - 1]
+        if g.sign > 0:
+            x = _free_inverse(x)
+        images[g.j - 1] = _free_reduced(x + images[g.j - 1] + _free_inverse(x))
+    return tuple(images)
+
+
 def twist_word(k: int) -> VirtualBraidWord:
     """The k-twist two-strand braid."""
     if k % 2 == 0:
@@ -431,9 +451,10 @@ def random_vpb_word(rng: random.Random, n: int, length: int) -> VirtualBraidWord
 
 def count_diagram_builds(monkeypatch) -> list[Diagram]:
     """A list that collects every diagram built from now on: each one the
-    checked constructor makes (``Diagram.__post_init__``) and each one the
-    engine makes without the checks (``diagram._assemble``, rebound in every
-    module that imports it)."""
+    checked constructor makes (``Diagram.__post_init__``, which also builds
+    each generator's one-crossing diagram) and each one the engine makes
+    without the checks (``diagram._assemble``, rebound in every module that
+    imports it)."""
     built: list[Diagram] = []
     check = Diagram.__post_init__
     assemble = outangles.diagram._assemble
@@ -448,7 +469,7 @@ def count_diagram_builds(monkeypatch) -> list[Diagram]:
         return d
 
     monkeypatch.setattr(Diagram, "__post_init__", counting_check)
-    for module in (outangles.diagram, outangles.braid, outangles.rewrite):
+    for module in (outangles.diagram, outangles.rewrite):
         assert module._assemble is assemble
         monkeypatch.setattr(module, "_assemble", counting_assemble)
     return built

@@ -1,10 +1,19 @@
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import artin_image, burau_matrix, count_diagram_builds, random_vpb_word, twist_word, word_is_proud
+from helpers import (
+    artin_image,
+    burau_matrix,
+    count_diagram_builds,
+    mccool_image,
+    random_vpb_word,
+    twist_word,
+    word_is_proud,
+)
 
 import outangles as ou
 from outangles import BraidGenerator, ClassicalBraidWord, VirtualBraidWord
@@ -236,6 +245,12 @@ def test_generators_and_words_take_exact_ints():
         lambda: ou.vpb_generators(0),
         lambda: ou.vpb_generators(-2),
         lambda: ou.generator_diagram(2.0, BraidGenerator(1, 2, 1)),
+        # letters are a tuple, and a virtual word's are BraidGenerators: a
+        # list is unhashable, and a look-alike with a sign of 5 would pass as +
+        lambda: VirtualBraidWord(3, ((1, 2, 1),)),
+        lambda: VirtualBraidWord(3, (types.SimpleNamespace(i=1, j=2, sign=5),)),
+        lambda: VirtualBraidWord(3, [BraidGenerator(1, 2, 1)]),
+        lambda: ClassicalBraidWord(3, [1, 2]),
     )
     ou.generator_diagram(2, BraidGenerator(1, 2, 1))  # 2.0 must not hit this memo entry
     for make in bad:
@@ -280,6 +295,19 @@ def test_artin_images_tell_classical_representatives_apart(tab):
         report = tab(n, m, "classical")
         images = {artin_image(n, word.letters) for word, _, _ in ou.read_representatives(report.representatives_path)}
         assert len(images) == sum(report.count_exactly)
+
+
+def test_mccool_images_agree_on_equal_ch_keys():
+    # the McCool action is sound for virtual pure braids: one ch key, one
+    # image.  The images count the welded braids, 1 + 12 + 120 + 1,116 on
+    # (3, <= 3) and 1 + 24 + 456 on (4, <= 2), among the virtual ones
+    for n, m, welded, virtual in ((3, 3, 1249, 1561), (4, 2, 481, 529)):
+        image_of = {}
+        for length in range(m + 1):
+            for word in ou.proud_words(n, length, "virtual"):
+                key = ou.canonical_key(ou.ch(VirtualBraidWord(n, word)))
+                assert image_of.setdefault(key, mccool_image(n, word)) == mccool_image(n, word)
+        assert (len(set(image_of.values())), len(image_of)) == (welded, virtual)
 
 
 def test_conjugate_power_identity_under_both_deciders():

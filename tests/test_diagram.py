@@ -308,6 +308,16 @@ def test_invalid_diagram_construction():
     fake = types.SimpleNamespace(sign=5, over=(1, 1), under=(1, 2))
     with pytest.raises(ou.InvalidDiagram, match="crossings must be Crossing objects"):
         Diagram(1, (fake,), (3,))
+    # every key is an exact rational, wherever it sits; equal rationals coincide
+    with pytest.raises(ou.InvalidDiagram, match="under mark key must be an exact rational, got 0.5"):
+        Crossing(1, (1, 1), (2, 0.5))
+    with pytest.raises(ou.InvalidDiagram, match="over mark key must be an exact rational, got True"):
+        Crossing(1, (1, True), (2, 2))
+    for eos in (1.5, True):
+        with pytest.raises(ou.InvalidDiagram, match=f"end-of-strand key must be an exact rational, got {eos!r}"):
+            Diagram(1, (), (eos,))
+    with pytest.raises(ou.InvalidDiagram, match="over and under marks of a crossing coincide"):
+        Crossing(1, (1, Fraction(1)), (1, 1))
 
 
 def test_engine_built_diagrams_pass_the_constructor_checks():

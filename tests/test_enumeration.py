@@ -379,3 +379,32 @@ def test_worst_braid_bounds_and_determinism():
     }.items():
         word, value = ou.worst_braid(n, m, kind)
         assert (word.text(), value) == (text, xi)
+
+
+def test_worst_case_families_are_fibonacci_and_pell():
+    # with F(1) = F(2) = 1 and P(0) = 0, P(1) = 1, P(k) = 2P(k-1) + P(k-2):
+    # the prefix of -1 2 -1 2 ... of length m has xi = 2F(m+3) - 6, and the
+    # prefix of s1,2 s2,1' s1,2 ... has xi = P(m+1) - 1, on the push path
+    fib, pell = [0, 1], [0, 1]
+    for _ in range(20):
+        fib.append(fib[-1] + fib[-2])
+        pell.append(2 * pell[-1] + pell[-2])
+    classical = ou.ClassicalBraidWord(3, (-1, 2) * 6)
+    virtual = ou.parse_vpb("vpb 3: " + "s1,2 s2,1' " * 5)
+    # (kind, word, its pure word, lengths pushed, lengths searched, xi)
+    families = (
+        (
+            "classical", classical, ou.classical_to_vpb(classical)[0], range(2, 13), range(2, 8),
+            lambda m: 2 * fib[m + 3] - 6,
+        ),
+        ("virtual", virtual, virtual, range(1, 10), range(1, 5), lambda m: pell[m + 1] - 1),
+    )
+    for kind, word, pure, pushed, searched, xi in families:
+        acc = ou.OuAccumulator(3)
+        for m, g in enumerate(pure.letters, start=1):
+            acc.push(g.i, g.j, g.sign)
+            if m in pushed:
+                assert acc.crossing_count() == xi(m), m
+        # worst_braid finds the family's prefixes as the maximizers
+        for m in searched:
+            assert ou.worst_braid(3, m, kind) == (type(word)(3, word.letters[:m]), xi(m))
