@@ -100,6 +100,8 @@ class VirtualBraidWord:
                 raise ValueError(f"generator {g.token()} out of range for {self.n} strands")
 
     def __mul__(self, other: "VirtualBraidWord") -> "VirtualBraidWord":
+        if not isinstance(other, VirtualBraidWord):
+            return NotImplemented
         if self.n != other.n:
             raise StrandCountMismatch("cannot concatenate words on different strand counts")
         return VirtualBraidWord(self.n, self.letters + other.letters)
@@ -132,6 +134,8 @@ def generator_diagram(n: int, g: BraidGenerator) -> Diagram:
     """The one-crossing diagram of a generator, tidied.  Built once per
     ``(n, generator)`` and then shared, which is safe because diagrams are
     immutable."""
+    if not isinstance(g, BraidGenerator):
+        raise ValueError(f"expected a BraidGenerator, got {g!r}")
     if max(g.i, g.j) > n:
         raise StrandCountMismatch(f"{g.token()} is not a generator on {n} strands")
     _check_count(n)
@@ -149,6 +153,8 @@ def _generator_diagram(n: int, i: int, j: int, sign: int) -> Diagram:
 
 def iota(w: VirtualBraidWord) -> Diagram:
     """Include a word into diagrams: one crossing per letter, stacked."""
+    if not isinstance(w, VirtualBraidWord):
+        raise ValueError(f"expected a VirtualBraidWord, got {w!r}")
     return compose(identity_diagram(w.n), *(generator_diagram(w.n, g) for g in w.letters))
 
 

@@ -15,6 +15,7 @@ redundant words; every braid keeps a proud word of its minimal length.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import re
@@ -145,45 +146,45 @@ class TabulationReport:
         )
 
 
-def _push_letter(acc: OuAccumulator, perm: list[int], letter, kind: str) -> list[int]:
-    """Push ``letter`` onto ``acc`` and return the position permutation after
-    it: a fresh list for a classical letter, and ``perm`` itself for a virtual
-    one, which moves no strand (the list is shared and never mutated)."""
+def _ou_frontier(n: int, kind: str, max_iters: int) -> tuple:
+    """The OU engine's ``(root, step, key)`` for :func:`_braid_index`, the
+    only code that knows how a letter moves a state.  A virtual state is an
+    :class:`OuAccumulator`; a classical one also holds the position
+    permutation, which joins the key because the braid need not be pure."""
+    root = OuAccumulator(n, max_iters)
     if kind == "virtual":
-        acc.push(letter.i, letter.j, letter.sign)
-        return perm
-    perm = list(perm)
-    acc.push(*_classical_crossing(perm, letter))
-    return perm
+        def step(acc: OuAccumulator, g: BraidGenerator) -> OuAccumulator:
+            child = acc.copy()
+            child.push(g.i, g.j, g.sign)
+            return child
+
+        return root, step, lambda acc: acc.canonical_text().encode("ascii")
+
+    def classical_step(state: tuple, k: int) -> tuple:
+        acc, perm = state[0].copy(), list(state[1])
+        acc.push(*_classical_crossing(perm, k))
+        return acc, perm
+
+    def classical_key(state: tuple) -> bytes:
+        return permuted_key(tuple(state[1]), state[0].canonical_text().encode("ascii"))
+
+    return (root, list(range(1, n + 1))), classical_step, classical_key
 
 
-def _state_key(acc: OuAccumulator, perm: list[int], kind: str) -> bytes:
-    key = acc.canonical_text().encode("ascii")
-    if kind == "classical":
-        return permuted_key(tuple(perm), key)
-    return key
-
-
-def _root(n: int, max_iters: int) -> tuple:
-    """The empty word's state ``(word, accumulator, position permutation)``."""
-    return (), OuAccumulator(n, max_iters), list(range(1, n + 1))
-
-
-def _children(states: list, kind: str, letters):
-    """The children of one level's ``(word, acc, perm)`` states, as
-    ``(parent word, letter, child acc, child perm)``: each word extended by
-    every letter of ``letters(word)``, in parent order then in the order
-    given, which must be generator order.  A level built from these children
-    in that order stays in lexicographic word order, letters compared in
-    generator order.  The list ``states`` is emptied as it is read, so a
-    parent is freed once its children are made, not with its whole level;
-    that lowers the peak memory of the frontier's deepest level."""
+def _children(states: list, step, letters):
+    """The children of one level's ``(word, state)`` pairs, as ``(parent
+    word, letter, child state)``: each word extended by every letter of
+    ``letters(word)``, in parent order then in the order given, which must
+    be generator order.  A level built from these children in that order
+    stays in lexicographic word order, letters compared in generator order.
+    The list ``states`` is emptied as it is read, so a parent is freed once
+    its children are made, not with its whole level; that lowers the peak
+    memory of the frontier's deepest level."""
     states.reverse()
     while states:
-        word, acc, perm = states.pop()
+        word, state = states.pop()
         for h in letters(word):
-            child = acc.copy()
-            yield word, h, child, _push_letter(child, perm, h, kind)
+            yield word, h, step(state, h)
 
 
 def tabulate(
@@ -233,13 +234,10 @@ def tabulate(
     _check_count(max_iters, 0, "max_iters")
     if max_keys is not None:
         _check_count(max_keys, 1, "max_keys")
-    if representatives_path is None:
-        index = _braid_index(n, m, kind, max_keys, max_iters)
-        path_str = None
-    else:
-        path_str = os.fspath(representatives_path)
-        with open(path_str, "w", encoding="ascii") as fh:
-            index = _braid_index(n, m, kind, max_keys, max_iters)
+    path_str = None if representatives_path is None else os.fspath(representatives_path)
+    with contextlib.nullcontext() if path_str is None else open(path_str, "w", encoding="ascii") as fh:
+        index = _braid_index(*_ou_frontier(n, kind, max_iters), generators(n, kind), m, max_keys)
+        if fh is not None:
             _write_representatives(fh, n, kind, index)
     counts = [0] * (m + 1)
     for word in index.values():
@@ -247,33 +245,34 @@ def tabulate(
     return TabulationReport(n, m, kind, tuple(counts), path_str)
 
 
-def _braid_index(n: int, m: int, kind: str, max_keys: int | None, max_iters: int) -> dict:
-    """Canonical key -> representative word of every braid with at most
-    ``m`` crossings, built by the frontier described in :func:`tabulate`."""
+def _braid_index(root, step, key, alphabet: list, m: int, max_keys: int | None) -> dict:
+    """Key -> representative word of every braid with at most ``m`` letters
+    of ``alphabet``, by the frontier of :func:`tabulate` from the empty
+    word's state ``root``.  ``step(state, letter)`` returns a new state, and
+    ``key`` must decide equality in the group: the proof uses nothing else."""
     # each representative one letter shorter than the level's parents -> the
     # letters, in generator order, whose push from it gave a new braid
-    grown: dict[tuple, list] = {(): generators(n, kind)}
+    grown: dict[tuple, list] = {(): alphabet}
 
     def letters(word):
         return grown.get(word[1:], ())
 
-    root = _root(n, max_iters)
-    index = {_state_key(*root[1:], kind): ()}
-    level = [root]
+    index = {key(root): ()}
+    level = [((), root)]
     for depth in range(1, m + 1):
         fresh = []
         next_grown = {}
         parent = None
-        for word, h, acc, perm in _children(level, kind, letters):
-            key = _state_key(acc, perm, kind)
-            if key in index:
+        for word, h, state in _children(level, step, letters):
+            k = key(state)
+            if k in index:
                 continue
             if max_keys is not None and len(index) >= max_keys:
                 raise ResourceLimit(f"more than {max_keys} stored keys")
             child = word + (h,)
-            index[key] = child
+            index[k] = child
             if depth < m:  # the last level's states are never extended
-                fresh.append((child, acc, perm))
+                fresh.append((child, state))
                 if word is not parent:
                     parent = word
                     next_grown[word] = parent_grown = []
@@ -359,22 +358,19 @@ def worst_braid(
     _check_kind(kind)
     _check_count(n, 2)
     _check_count(m, 1, "m")
+    root, step, key = _ou_frontier(n, kind, max_iters)
     proud = _proud_letters(n, kind)
-    level = [_root(n, max_iters)]
+    level = [((), root)]
     for _ in range(m - 1):
         # same braid and same last letter: identical proud subtrees
         seen = set()
         fresh = []
-        for word, h, acc, perm in _children(level, kind, proud):
-            state = (_state_key(acc, perm, kind), h)
-            if state not in seen:
-                seen.add(state)
-                fresh.append((word + (h,), acc, perm))
+        for word, h, state in _children(level, step, proud):
+            if (pair := (key(state), h)) not in seen:
+                seen.add(pair)
+                fresh.append((word + (h,), state))
         level = fresh
+    xi = (lambda acc: acc.crossing_count()) if kind == "virtual" else (lambda state: state[0].crossing_count())
     # max() keeps the first of equal maxima, and the last level is in lex order
-    word, h, acc, _ = max(_children(level, kind, proud), key=lambda s: s[2].crossing_count())
-    word += (h,)
-    value = acc.crossing_count()
-    if kind == "virtual":
-        return VirtualBraidWord(n, word), value
-    return ClassicalBraidWord(n, word), value
+    word, h, state = max(_children(level, step, proud), key=lambda child: xi(child[2]))
+    return (VirtualBraidWord if kind == "virtual" else ClassicalBraidWord)(n, word + (h,)), xi(state)

@@ -301,9 +301,6 @@ class _Scratch:
 
     # -- normalization --------------------------------------------------------
 
-    def marks(self) -> list[int]:
-        return [mk for lst in self.strands for mk in lst]
-
     def reduce(self) -> dict[int, int]:
         """Settle every mark; return the strand lookup."""
         return self._settle(self.strand_of(), {mk: k for lst in self.strands for k, mk in enumerate(lst)})

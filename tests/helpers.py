@@ -9,6 +9,7 @@ not depend on the process.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -264,46 +265,53 @@ def _free_reduced(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def artin_image(n: int, letters) -> tuple:
-    """Artin image of the classical word ``letters`` on ``n`` strands: the
-    images of the free generators x_1 .. x_n, each a freely reduced tuple of
-    signed indices (``-k`` is x_k's inverse).
+def artin_step(images: tuple, k: int) -> tuple:
+    """The Artin images after one more classical letter ``k``: the images of
+    the free generators x_1 .. x_n, each a freely reduced tuple of signed
+    indices (``-k`` is x_k's inverse).
 
     Letter ``k`` acts by x_k -> x_k x_{k+1} x_k^-1, x_{k+1} -> x_k, and
     ``-k`` by x_k -> x_{k+1}, x_{k+1} -> x_{k+1}^-1 x_k x_{k+1}; the images
-    compose by substitution.  Faithful on every braid group (Artin 1925), so
-    it decides braid equality.  Images grow exponentially on mixed-sign
-    words: keep the words short.
+    compose by substitution.
     """
-    images = [(k,) for k in range(1, n + 1)]
-    for letter in letters:
-        a = abs(letter) - 1
-        x, y = images[a], images[a + 1]
-        if letter > 0:
-            images[a], images[a + 1] = _free_reduced(x + y + _free_inverse(x)), x
-        else:
-            images[a], images[a + 1] = y, _free_reduced(_free_inverse(y) + x + y)
-    return tuple(images)
+    a = abs(k) - 1
+    x, y = images[a], images[a + 1]
+    if k > 0:
+        x, y = _free_reduced(x + y + _free_inverse(x)), x
+    else:
+        x, y = y, _free_reduced(_free_inverse(y) + x + y)
+    return images[:a] + (x, y) + images[a + 2:]
+
+
+def artin_image(n: int, letters) -> tuple:
+    """Artin image of the classical word ``letters`` on ``n`` strands, one
+    :func:`artin_step` per letter.  Faithful on every braid group (Artin
+    1925), so it decides braid equality.  Images grow exponentially on
+    mixed-sign words: keep the words short.
+    """
+    return functools.reduce(artin_step, letters, tuple((k,) for k in range(1, n + 1)))
+
+
+def mccool_step(images: tuple, g: BraidGenerator) -> tuple:
+    """The McCool images after one more virtual pure braid letter ``g``, in
+    the form of :func:`artin_step`: ``s(i,j)^e`` acts by
+    x_j -> x_i^-e x_j x_i^e and fixes the other generators."""
+    x = images[g.i - 1]
+    if g.sign > 0:
+        x = _free_inverse(x)
+    j = g.j - 1
+    return images[:j] + (_free_reduced(x + images[j] + _free_inverse(x)),) + images[j + 1:]
 
 
 def mccool_image(n: int, letters) -> tuple:
     """McCool image of the virtual pure braid word ``letters`` (a sequence
-    of :class:`BraidGenerator`) on ``n`` strands: the images of the free
-    generators x_1 .. x_n, each a freely reduced tuple of signed indices.
-
-    Letter ``s(i,j)^e`` acts by x_j -> x_i^-e x_j x_i^e and fixes the other
-    generators; the images compose by substitution, as in
-    :func:`artin_image`.  The action factors through the welded quotient
-    (Fenn, Rimanyi and Rourke 1997), so it is only sound for virtual
-    braids: equal braids have equal images, but unequal braids may too.
+    of :class:`BraidGenerator`) on ``n`` strands, one :func:`mccool_step`
+    per letter.  The action factors through the welded quotient (Fenn,
+    Rimanyi and Rourke 1997), so it is only sound for virtual braids: equal
+    braids have equal images, but unequal braids may too.  It is faithful
+    on the welded pure braid group.
     """
-    images = [(k,) for k in range(1, n + 1)]
-    for g in letters:
-        x = images[g.i - 1]
-        if g.sign > 0:
-            x = _free_inverse(x)
-        images[g.j - 1] = _free_reduced(x + images[g.j - 1] + _free_inverse(x))
-    return tuple(images)
+    return functools.reduce(mccool_step, letters, tuple((k,) for k in range(1, n + 1)))
 
 
 def twist_word(k: int) -> VirtualBraidWord:

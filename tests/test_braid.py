@@ -251,12 +251,18 @@ def test_generators_and_words_take_exact_ints():
         lambda: VirtualBraidWord(3, (types.SimpleNamespace(i=1, j=2, sign=5),)),
         lambda: VirtualBraidWord(3, [BraidGenerator(1, 2, 1)]),
         lambda: ClassicalBraidWord(3, [1, 2]),
+        # look-alike generators and words
+        lambda: ou.generator_diagram(3, (1, 2, 1)),
+        lambda: ou.iota((1, 2)),
+        lambda: ou.ch((1, 2)),
     )
     ou.generator_diagram(2, BraidGenerator(1, 2, 1))  # 2.0 must not hit this memo entry
     for make in bad:
         with pytest.raises(ValueError):
             make()
     assert ou.vpb_generators(1) == []
+    with pytest.raises(TypeError):
+        VirtualBraidWord(2, ()) * 3
     w = VirtualBraidWord(3, (BraidGenerator(3, 1, -1),))
     assert ou.parse_vpb(w.text()) == w
 

@@ -429,7 +429,7 @@ def test_prepended_crossing_is_removed_exactly_when_the_count_drops():
         for g in ou.vpb_generators(d.n):
             new = len(d.crossings)  # the id the prepended crossing gets
             q = _prepended(d, g.i, g.j, g.sign, ou.rewrite.DEFAULT_MAX_ITERS)
-            ids = [mk >> 2 for mk in q.marks()]
+            ids = [mk >> 2 for lst in q.strands for mk in lst]
             assert (new not in ids) == (q.crossing_count() < len(d.crossings))
             if new in ids:
                 assert next(mk >> 2 for mk in q.strands[g.j - 1] if not mk & 2) == new

@@ -1,8 +1,9 @@
+import collections
 import hashlib
 import itertools
 
 import pytest
-from helpers import tabulate_in_children, word_is_proud
+from helpers import artin_image, artin_step, mccool_image, mccool_step, tabulate_in_children, word_is_proud
 
 import outangles as ou
 from outangles import BraidGenerator
@@ -189,13 +190,44 @@ def test_frontier_pushes_only_children_with_a_representative_suffix(monkeypatch,
 def test_children_free_each_parent_once_its_children_are_made():
     # the frontier's level list is emptied as it is read, in order, so only
     # the parents not yet extended stay referenced
-    level = [ou.enumeration._root(3, 100) for _ in range(3)]
-    level = [((k,), acc, perm) for k, (_, acc, perm) in enumerate(level, start=1)]
-    children = ou.enumeration._children(level, "classical", lambda word: [1, -2])
+    root, step, _ = ou.enumeration._ou_frontier(3, "classical", 100)
+    level = [((k,), root) for k in (1, 2, 3)]
+    children = ou.enumeration._children(level, step, lambda word: [1, -2])
     assert [next(children)[:2], next(children)[:2]] == [((1,), 1), ((1,), -2)]
-    assert sorted(word for word, _, _ in level) == [(2,), (3,)]
+    assert sorted(word for word, _ in level) == [(2,), (3,)]
     assert [child[:2] for child in children] == [((2,), 1), ((2,), -2), ((3,), 1), ((3,), -2)]
     assert level == []
+
+
+def test_artin_keyed_frontier_chooses_the_same_representatives(tab):
+    # tabulate's proof uses only the group and the letter order, and the
+    # Artin action is faithful (Artin 1925): keyed by Artin images the
+    # frontier must choose the same words in the same order, which checks
+    # every merge the OU engine made on these tables, in both directions
+    for n, m in ((3, 9), (4, 5), (5, 4)):
+        index = ou.enumeration._braid_index(
+            artin_image(n, ()), artin_step, lambda images: images, ou.generators(n, "classical"), m, None
+        )
+        reps = ou.read_representatives(tab(n, m, "classical").representatives_path)
+        assert list(index.values()) == [word.letters for word, _, _ in reps]
+
+
+def test_mccool_keyed_frontier_counts_the_welded_braids(tab):
+    # the McCool action is faithful on the welded pure braid group (Fenn,
+    # Rimanyi and Rourke 1997), so keyed by it the frontier gives each welded
+    # braid its minimal length.  That is the least first length of its
+    # virtual members, read off the virtual representatives, which are
+    # written by first length
+    for n, m, welded in ((3, 4, (1, 12, 120, 1116, 10080)), (4, 3, (1, 24, 456, 8024))):
+        index = ou.enumeration._braid_index(
+            mccool_image(n, ()), mccool_step, lambda images: images, ou.generators(n, "virtual"), m, None
+        )
+        first_length = {}
+        for word, length, _ in ou.read_representatives(tab(n, m, "virtual").representatives_path):
+            first_length.setdefault(mccool_image(n, word.letters), length)
+        assert {images: len(word) for images, word in index.items()} == first_length
+        counts = collections.Counter(first_length.values())
+        assert tuple(counts[length] for length in range(m + 1)) == welded
 
 
 def test_tabulate_monotone_cumulative():
