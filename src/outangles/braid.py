@@ -171,6 +171,8 @@ def ch(w: VirtualBraidWord, max_iters: int = DEFAULT_MAX_ITERS) -> Diagram:
 
 def braids_equal(w1: VirtualBraidWord, w2: VirtualBraidWord, max_iters: int = DEFAULT_MAX_ITERS) -> bool:
     """Word equality in the virtual pure braid group."""
+    if not isinstance(w1, VirtualBraidWord) or not isinstance(w2, VirtualBraidWord):
+        raise ValueError(f"expected two VirtualBraidWords, got {w1!r} and {w2!r}")
     if w1.n != w2.n:
         raise StrandCountMismatch(f"words on {w1.n} and {w2.n} strands")
     return canonical_key(ch(w1, max_iters)) == canonical_key(ch(w2, max_iters))
@@ -183,6 +185,8 @@ def classical_to_vpb(b: ClassicalBraidWord) -> tuple[VirtualBraidWord, Permutati
     becomes the strand in position ``k`` crossing over the strand in position
     ``k + 1``; ``-k`` the inverse crossing; both then swap the two positions.
     """
+    if not isinstance(b, ClassicalBraidWord):
+        raise ValueError(f"expected a ClassicalBraidWord, got {b!r}")
     perm = list(range(1, b.n + 1))
     letters = tuple(BraidGenerator(*_classical_crossing(perm, k)) for k in b.letters)
     return VirtualBraidWord(b.n, letters), tuple(perm)

@@ -52,9 +52,9 @@ def _parse_any_word(text: str):
     raise ParseError("expected a word starting with 'vpb <n>:' or 'br <n>:'")
 
 
-def _int_at_least(low: int):
-    """argparse ``type=`` for integers ``>= low``: anything else is a usage
-    error (exit 2), not a traceback from the library."""
+def _int_in(low: int, high: int | None = None):
+    """argparse ``type=`` for integers ``>= low`` and, if given, ``<= high``:
+    anything else is a usage error (exit 2), not a traceback from the library."""
 
     def convert(text: str) -> int:
         try:
@@ -63,6 +63,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return convert
@@ -75,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-iters",
-        type=_int_at_least(0),
+        type=_int_in(0),
         default=None,
         help=f"glide iteration cap (default {DEFAULT_MAX_ITERS}; OU_MAX_ITERS overrides the default)",
     )
@@ -104,20 +106,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tabulate", help="count braids by crossing number")
     p.add_argument("--kind", choices=enumeration.KINDS, required=True)
-    p.add_argument("-n", type=_int_at_least(2), required=True, dest="n")
-    p.add_argument("-m", type=_int_at_least(0), required=True, dest="m")
+    p.add_argument("-n", type=_int_in(2, braid.MAX_STRANDS), required=True, dest="n")
+    p.add_argument("-m", type=_int_in(0), required=True, dest="m")
     p.add_argument("--representatives", default=None, help="write one word per braid here")
     p.add_argument(
-        "--max-keys", type=_int_at_least(1), default=None, help="abort beyond this many stored braids"
+        "--max-keys", type=_int_in(1), default=None, help="abort beyond this many stored braids"
     )
 
     p = sub.add_parser("worst", help="proud word of length m maximizing the OU crossing number")
     p.add_argument("--kind", choices=enumeration.KINDS, required=True)
-    p.add_argument("-n", type=_int_at_least(2), required=True, dest="n")
-    p.add_argument("-m", type=_int_at_least(1), required=True, dest="m")
+    p.add_argument("-n", type=_int_in(2, braid.MAX_STRANDS), required=True, dest="n")
+    p.add_argument("-m", type=_int_in(1), required=True, dest="m")
 
     p = sub.add_parser("fibcheck", help="check the classical 3-strand count formula")
-    p.add_argument("-m", type=_int_at_least(1), required=True, dest="m")
+    p.add_argument("-m", type=_int_in(1), required=True, dest="m")
     return parser
 
 
@@ -200,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     max_iters = args.max_iters
     if max_iters is None:
         try:
-            max_iters = _int_at_least(0)(os.environ.get("OU_MAX_ITERS", str(DEFAULT_MAX_ITERS)))
+            max_iters = _int_in(0)(os.environ.get("OU_MAX_ITERS", str(DEFAULT_MAX_ITERS)))
         except argparse.ArgumentTypeError as exc:
             print(f"error: OU_MAX_ITERS {exc}", file=sys.stderr)
             return 2

@@ -149,6 +149,8 @@ def quotient(T: Diagram, g: BraidGenerator, max_iters: int = DEFAULT_MAX_ITERS) 
     :class:`NotADivisor`.  A ``g`` naming a strand beyond ``T.n`` raises
     :class:`StrandCountMismatch`.
     """
+    if not isinstance(g, BraidGenerator):
+        raise ValueError(f"expected a BraidGenerator, got {g!r}")
     if max(g.i, g.j) > T.n:
         raise StrandCountMismatch(f"{g.token()} is not a generator on {T.n} strands")
     q = _quotient_or_none(_require_reduced_ou(T, max_iters), g, max_iters)

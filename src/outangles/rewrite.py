@@ -16,14 +16,14 @@ adjacent pair of over marks (or of under marks) of opposite signs whose
 partner marks are adjacent too, in either order.  Normalizing a diagram
 starts with every mark dirty; after a glide only the marks that
 :meth:`_Scratch.glide` returns are dirty (the left neighbours of its two
-insertions and their last inserted marks, of which a push's walk keeps
-one and only when one crossing owns both), and after a removal the left
-neighbour of each removed pair.  A dirty mark carries its position
-when it was marked, so the loop scans for it only if it has moved since,
-and it removes each pattern where it found it.  R1/R2 removal terminates,
-and overlapping patterns (an R1 inside an R2, two R2s sharing a crossing)
-leave the same signed marks in the same places, so by Newman's lemma its
-fixpoint does not depend on the order of removal.
+insertions, and its last inserted mark when one crossing owns both last
+inserted marks), and after a removal the left neighbour of each removed
+pair; the glide's proof rests on the state being acyclic.  A dirty mark
+carries its position when it was marked, so the loop scans for it only if
+it has moved since, and it removes each pattern where it found it.  R1/R2
+removal terminates, and overlapping patterns (an R1 inside an R2, two R2s
+sharing a crossing) leave the same signed marks in the same places, so by
+Newman's lemma its fixpoint does not depend on the order of removal.
 
 One walk fixes the intervals (:meth:`_Scratch._walk`).  It glides at one
 strand's under-then-over slots in position order, and after each glide it
@@ -148,7 +148,7 @@ class _Scratch:
         over.append(mk)
         under.append(mk ^ 2)
         if len(over) > 1 and not over[-2] & 2:  # slot
-            self._walk(i - 1, len(over) - 2, self.strand_of(), 0, max_iters, push=True)
+            self._walk(i - 1, len(over) - 2, self.strand_of(), 0, max_iters)
 
     def mirrored(self) -> "_Scratch":
         """The mirror image R: strands reversed, passes swapped, signs and
@@ -210,23 +210,21 @@ class _Scratch:
         """The strand index of every mark."""
         return {mk: s for s, lst in enumerate(self.strands) for mk in lst}
 
-    def glide(self, s: int, i: int, where: dict[int, int], push: bool = False) -> dict[int, int]:
+    def glide(self, s: int, i: int, where: dict[int, int]) -> dict[int, int]:
         """Fix the under-then-over interval at marks ``i``, ``i + 1`` of
         strand ``s`` (0-based), keeping the strand lookup ``where`` current.
         The marks belong to different crossings: :func:`glide_once` checks
         that, and :meth:`_settle` removes a same-crossing pair as an R1.
 
         Returns the marks to settle, each mapped to its position when marked:
-        at each of the two insertions, the mark left of it and its last
-        inserted mark.  With ``push`` (a walk :meth:`append_crossing`
-        started) a last inserted mark is returned only around ``y ^ 2``, and
-        only when the two last inserted marks are passes of one crossing.
-        On a reduced state, settling them finds every new R1 and R2.  A new
-        pattern has a changed adjacency, and an R2 is found from either of
-        its two adjacencies; so it is enough that none of the seven changed
-        adjacencies left out is a pattern when the glide ends.  (One that a
-        removal turns into a pattern later is found from the partners' new
-        adjacency, whose left mark the removal makes dirty.)  Let the glide turn ``L, x, y, R``
+        the mark left of each insertion, and the last mark inserted around
+        ``y ^ 2`` when the two last inserted marks are one crossing's.  On a
+        reduced acyclic state, settling them finds every new R1 and R2.  A
+        new pattern has a changed adjacency, and an R2 is found from either
+        of its two adjacencies; so it is enough that no changed adjacency
+        left out is a pattern when the glide ends.  (One that a removal turns
+        into a pattern later is found from the partners' new adjacency, whose
+        left mark the removal makes dirty.)  Let the glide turn ``L, x, y, R``
         into ``L, y, x, R`` and insert new marks around the anchors ``x ^ 2``
         and ``y ^ 2``.  After the insertions each anchor sits between two new
         marks, and each new mark's partner sits beside the other anchor.
@@ -245,19 +243,12 @@ class _Scratch:
           or ``y``'s left one, put there around ``x ^ 2``.  Then ``y, y ^ 2``
           or ``x ^ 2, x`` were adjacent before the glide: an R1, which the
           reduced state cannot hold.
-
-        A push walk may leave out the two adjacencies to the right of the
-        last inserted marks as well, unless one crossing owns both marks:
-
-        * The mover ``y`` is the pushed over mark, the only over mark of
-          strand ``s`` behind an under mark (the walk ends if it is
-          removed).  So the anchor ``y ^ 2`` is the pushed under mark ``u``,
-          on another strand, whose over marks all stay left of ``u``: it was
-          OU, ``u`` was appended, and over marks are inserted only beside
-          over anchors.  So if the anchors share a strand, ``x ^ 2`` is left
-          of ``u`` and inserted around first, and an adjacency between marks
-          of the two insertions has the mark left of the second insertion as
-          its left mark, which is marked.
+        * If the anchors share a strand, ``x ^ 2`` is left of ``y ^ 2``: the
+          cascade path ``x ^ 2, x, y, y ^ 2`` (a drop, the strand step, a
+          drop) would close a cycle with strand steps from ``y ^ 2`` to
+          ``x ^ 2``.  So ``x ^ 2`` is inserted around first, and an adjacency
+          between marks of the two insertions has the mark left of the
+          second insertion as its left mark, which is marked.
         * A new R1 is a new mark beside its partner, which sits beside the
           other anchor: only such an adjacency between the insertions.
         * A new R2 pairs a new crossing with an old one (the new crossings'
@@ -267,7 +258,13 @@ class _Scratch:
           above), and it is found from either.  A first inserted mark's
           left neighbour is marked; so only a crossing whose two marks are
           both last inserted, which happens when ``x`` and ``y`` have
-          opposite signs, needs one of them marked: the one around ``u``.
+          opposite signs, needs one of them marked: the one around
+          ``y ^ 2``.
+
+        The state is acyclic: :func:`_normalized` checks a diagram from
+        outside, :meth:`OuAccumulator.push` and :meth:`mirrored` argue it for
+        the accumulator's and division's states, and glides and R1/R2 removal
+        keep it.  (:func:`glide_once` settles nothing.)
         """
         lst = self.strands[s]
         x, y = lst[i], lst[i + 1]
@@ -291,11 +288,9 @@ class _Scratch:
             marks = self.strands[t]
             at = marks.index(anchor)
             marks[at : at + 1] = (before, anchor, after)
-            if not push:
-                dirty[after] = at + 2
             if at:
                 dirty[marks[at - 1]] = at - 1
-        if push and sign < 0:  # the two last inserted marks are one crossing's
+        if sign < 0:  # the two last inserted marks are one crossing's
             dirty[after] = at + 2
         return dirty
 
@@ -305,7 +300,7 @@ class _Scratch:
         """Settle every mark; return the strand lookup."""
         return self._settle(self.strand_of(), {mk: k for lst in self.strands for k, mk in enumerate(lst)})
 
-    def _walk(self, s: int, at: int, where: dict[int, int], glides: int, max_iters: int, push: bool = False) -> int:
+    def _walk(self, s: int, at: int, where: dict[int, int], glides: int, max_iters: int) -> int:
         """Glide at the slots of strand ``s`` in position order, from
         position ``at`` on, until none is left; return ``glides`` plus the
         glides made.  The state must be reduced, with no slot before
@@ -329,9 +324,8 @@ class _Scratch:
           If R1/R2 removal deleted the mover, the walk rescans strand ``s``
           from 0.
 
-        The state stays reduced, as :meth:`glide` proves for the marks it
-        returns; ``push`` tells it that :meth:`append_crossing` started the
-        walk.  Raises :class:`CapExceeded` instead of glide
+        The state stays reduced and acyclic, as :meth:`glide` proves for the
+        marks it returns.  Raises :class:`CapExceeded` instead of glide
         ``max_iters + 1``.
         """
         lst = self.strands[s]
@@ -342,7 +336,7 @@ class _Scratch:
             else:
                 return glides
             mover = lst[k + 1]
-            glides = self._glide_settled(s, k, where, glides, max_iters, push)
+            glides = self._glide_settled(s, k, where, glides, max_iters)
             if k < len(lst) and lst[k] == mover:
                 at = k - 1
             elif mover in where:  # shifted by an insertion or a removal
@@ -350,16 +344,14 @@ class _Scratch:
             else:  # removed by R1/R2
                 at = 0
 
-    def _glide_settled(
-        self, s: int, i: int, where: dict[int, int], glides: int, max_iters: int, push: bool = False
-    ) -> int:
-        """Glide at slot ``i`` of strand ``s`` (on a push walk if ``push``)
-        and settle the marks the glide returns; return the glide count
+    def _glide_settled(self, s: int, i: int, where: dict[int, int], glides: int, max_iters: int) -> int:
+        """Glide at slot ``i`` of strand ``s`` of a reduced acyclic state and
+        settle the marks the glide returns; return the glide count
         ``glides + 1``.  Raises :class:`CapExceeded` instead when ``glides``
         is already ``max_iters``."""
         if glides >= max_iters:
             raise CapExceeded(f"no OU form after {max_iters} glide moves")
-        self._settle(where, self.glide(s, i, where, push))
+        self._settle(where, self.glide(s, i, where))
         return glides + 1
 
     def _settle(self, where: dict[int, int], dirty: dict[int, int]) -> dict[int, int]:

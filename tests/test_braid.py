@@ -255,6 +255,12 @@ def test_generators_and_words_take_exact_ints():
         lambda: ou.generator_diagram(3, (1, 2, 1)),
         lambda: ou.iota((1, 2)),
         lambda: ou.ch((1, 2)),
+        lambda: ou.quotient(ou.ch(ou.parse_vpb("vpb 3: s1,2")), (1, 2, 1)),
+        lambda: ou.classical_to_vpb((1, 2)),
+        lambda: ou.classical_key((1, 2)),
+        lambda: ou.classical_braids_equal((1, 2), (1, 2)),
+        lambda: ou.braids_equal((1,), (2,)),
+        lambda: ou.braids_equal(ou.parse_vpb("vpb 2:"), (2,)),
     )
     ou.generator_diagram(2, BraidGenerator(1, 2, 1))  # 2.0 must not hit this memo entry
     for make in bad:

@@ -251,6 +251,8 @@ def test_missing_file_is_usage_error(capsys):
         (["ch", "br 12: 1_0"], None, None),
         (["ch", "br \u0663: 1"], None, None),
         (["eq", "vpb 3: s\u0661,2", "vpb 3: s1,2"], None, None),
+        (["tabulate", "--kind", "virtual", "-n", "1001", "-m", "0"], None, None),
+        (["worst", "--kind", "classical", "-n", "1001", "-m", "1"], None, None),
     ],
     ids=[
         "tabulate-n1",
@@ -270,6 +272,8 @@ def test_missing_file_is_usage_error(capsys):
         "underscore-letter",
         "non-ascii-strand-count",
         "non-ascii-generator",
+        "tabulate-too-many-strands",
+        "worst-too-many-strands",
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path, monkeypatch, capsys):

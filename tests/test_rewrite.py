@@ -341,6 +341,40 @@ def test_normal_form_matches_reference_on_one_and_two_strands(monkeypatch):
     assert len(cases) - cyclic >= 300 and glided > 80 and shared["r2"] > 100
 
 
+def test_whole_walks_match_the_reference_on_random_acyclic_diagrams(monkeypatch):
+    # every glide settles by one rule, whose proof needs x ^ 2 left of y ^ 2
+    # when the glide's anchors share a strand: acyclicity gives it, so
+    # whole-diagram walks reach the reference's normal form in its number of
+    # glides, and a random slot order reaches the same key
+    rng = random.Random(89)
+    cases = []
+    while len(cases) < 500:
+        d = random_gauss(rng, rng.randrange(1, 5), rng.randrange(1, 14))
+        if ou.is_acyclic(d):
+            cases.append(d)
+    Scratch = ou.rewrite._Scratch
+    inner_glide = Scratch.glide
+    counts = {"on": False, "glides": 0, "shared": 0}
+
+    def counting_glide(self, s, i, where):
+        if counts["on"]:
+            x, y = self.strands[s][i], self.strands[s][i + 1]
+            counts["glides"] += 1
+            counts["shared"] += where[x ^ 2] == where[y ^ 2]
+        return inner_glide(self, s, i, where)
+
+    monkeypatch.setattr(Scratch, "glide", counting_glide)
+    for d in cases:
+        expect, glides = _reference_normal_form(d)
+        counts.update(on=True, glides=0)
+        assert ou.ou_normal_form(d) == expect
+        assert counts["glides"] == glides
+        key = ou.canonical_key(ou.ou_normal_form(d, rng=random.Random(glides)))
+        counts["on"] = False
+        assert key == ou.canonical_key(expect)
+    assert counts["shared"] >= 100
+
+
 def test_accumulator_max_iters_is_checked_when_set():
     acc = ou.OuAccumulator(3, max_iters=5)
     for cap in (2.5, True, -1):
@@ -585,10 +619,10 @@ def test_push_matches_reference_normal_form(monkeypatch):
 
 
 def test_push_glides_settle_the_left_neighbours_of_their_insertions(monkeypatch):
-    # a glide on a push walk hands the settle loop the mark left of each
-    # insertion, at its position, and a last inserted mark only when the two
-    # last inserted marks are one crossing's: the one beside the pushed under
-    # mark; a glide of a whole-diagram walk hands it both last inserted marks
+    # every glide, on a push walk or a whole-diagram walk, runs on an acyclic
+    # state and hands the settle loop the mark left of each insertion, at its
+    # position, and a last inserted mark only when the two last inserted
+    # marks are one crossing's: the one around y ^ 2
     Scratch = ou.rewrite._Scratch
     inner_append, inner_glide = Scratch.append_crossing, Scratch.glide
     pushed = []
@@ -602,6 +636,7 @@ def test_push_glides_settle_the_left_neighbours_of_their_insertions(monkeypatch)
             pushed.pop()
 
     def checking_glide(self, s, i, *args):
+        assert self.is_acyclic()
         x, y = self.strands[s][i], self.strands[s][i + 1]
         new = (self._next, self._next + 1)
         dirty = inner_glide(self, s, i, *args)
@@ -613,15 +648,14 @@ def test_push_glides_settle_the_left_neighbours_of_their_insertions(monkeypatch)
             if k > 1:
                 lefts.add(lst[k - 2])
             lasts.append(lst[k + 1])
+        one = lasts[0] >> 2 == lasts[1] >> 2
+        assert set(dirty) == lefts | ({lasts[1]} if one else set())
+        for mk, at in dirty.items():
+            assert next(lst for lst in self.strands if mk in lst)[at] == mk
         if pushed:
             assert y >> 2 == pushed[-1]  # the mover is the pushed over mark
-            one = lasts[0] >> 2 == lasts[1] >> 2
-            assert set(dirty) == lefts | ({lasts[1]} if one else set())
-            for mk, at in dirty.items():
-                assert next(lst for lst in self.strands if mk in lst)[at] == mk
             seen["one crossing" if one else "two crossings"] += 1
         else:
-            assert set(lasts) <= set(dirty)
             seen["whole"] += 1
         return dirty
 
