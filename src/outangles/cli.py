@@ -53,14 +53,16 @@ def _parse_any_word(text: str):
 
 
 def _int_in(low: int, high: int | None = None):
-    """argparse ``type=`` for integers ``>= low`` and, if given, ``<= high``:
-    anything else is a usage error (exit 2), not a traceback from the library."""
+    """argparse ``type=`` for ASCII digit runs ``>= low`` and, if given,
+    ``<= high``: anything else is a usage error (exit 2), not a traceback."""
 
     def convert(text: str) -> int:
         try:
+            if not (text.isascii() and text.isdigit()):
+                raise ValueError
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         if high is not None and value > high:

@@ -17,8 +17,8 @@ canonical text form whose exact bytes serve as an equality key.
 ``Diagram(...)`` validates its arguments, so every diagram that comes from
 :func:`parse`, from user code or from a braid generator is checked.
 Diagrams the engine builds from marks (:func:`tidy`, :func:`compose`, the
-rewriting state's export) are valid by construction and skip the checks;
-see :func:`_assemble`.
+rewriting state's export) skip the checks and build their crossings only
+when read; see :func:`_assemble`.
 """
 
 from __future__ import annotations
@@ -90,13 +90,41 @@ class Diagram:
     keys on one strand are pairwise distinct, and each strand's
     end-of-strand key is strictly the largest key on that strand.  Each
     strand's keys are walked in crossing order, so the first bad key is the
-    one named.  Diagrams the engine builds from marks are valid by
-    construction and are not re-checked (see :func:`_assemble`).
+    one named.  Each diagram keeps ``_marks``, per strand its marks in key
+    order with ``crossings[cid]`` as crossing ``cid``, never changed.
+    Diagrams the engine builds from marks are not re-checked and build
+    ``crossings`` on first read (see :func:`_assemble`).  ``==``, ``hash``
+    and ``repr`` read the fields: marks forget keys, so a diagram with
+    rational keys has the marks of its tidy form.
     """
 
     n: int
     crossings: tuple[Crossing, ...]
     eos_keys: tuple[Key, ...]
+
+    def __getattr__(self, name: str) -> tuple[Crossing, ...]:
+        # only an unread engine-built diagram lacks a field
+        marks = self.__dict__.get("_marks") if name == "crossings" else None
+        if marks is None:
+            raise AttributeError(name)
+        where, k = {}, 1  # mark -> (strand, tidy key); over marks come in id order
+        for a, seq in enumerate(marks, start=1):
+            for mk in seq:
+                where[mk] = (a, k)
+                k += 1
+            k += 1
+        new, put = object.__new__, object.__setattr__
+        crossings = []
+        for mk, at in where.items():
+            if mk & 2:
+                c = new(Crossing)
+                put(c, "sign", 1 if mk & 1 else -1)
+                put(c, "over", at)
+                put(c, "under", where[mk ^ 2])
+                crossings.append(c)
+        crossings = tuple(crossings)
+        put(self, "crossings", crossings)
+        return crossings
 
     def __post_init__(self) -> None:
         n = self.n
@@ -109,23 +137,29 @@ class Diagram:
             raise InvalidDiagram(f"expected {n} end-of-strand keys, got {len(self.eos_keys)}")
         for k in self.eos_keys:
             _check_key(k, "end-of-strand key")
-        per_strand: list[list[Key]] = [[] for _ in range(n)]
-        for c in self.crossings:
+        per_strand: list[list[tuple[Key, int]]] = [[] for _ in range(n)]
+        for cid, c in enumerate(self.crossings):
             # a crossing's own checks ran only if it is a Crossing
             if not isinstance(c, Crossing):
                 raise InvalidDiagram(f"crossings must be Crossing objects, got {c!r}")
-            for a, k in (c.over, c.under):
+            mk = _mark(cid, True, c.sign)
+            for (a, k), m in ((c.over, mk), (c.under, mk ^ 2)):
                 if a > n:
                     raise InvalidDiagram(f"strand {a} out of range 1..{n}")
-                per_strand[a - 1].append(k)
-        for a, (keys, eos) in enumerate(zip(per_strand, self.eos_keys), start=1):
-            seen: set[Key] = set()
-            for k in keys:
-                if k in seen:
+                per_strand[a - 1].append((k, m))
+        marks = []
+        for a, (pairs, eos) in enumerate(zip(per_strand, self.eos_keys), start=1):
+            # keys on a strand are distinct: sort keys, not pairs
+            bucket: dict[Key, int] = {}
+            for k, m in pairs:
+                if k in bucket:
                     raise InvalidDiagram(f"duplicate mark key {k} on strand {a}")
-                seen.add(k)
                 if k >= eos:
                     raise InvalidDiagram(f"end-of-strand key of strand {a} is not strictly maximal")
+                bucket[k] = m
+            marks.append(tuple([bucket[k] for k in sorted(bucket)]))
+        # tuples: the memo keeps these, and an empty strand is the shared ()
+        object.__setattr__(self, "_marks", tuple(marks))
 
 
 def identity_diagram(n: int) -> Diagram:
@@ -136,7 +170,7 @@ def identity_diagram(n: int) -> Diagram:
 
 def crossing_number(d: Diagram) -> int:
     """Number of crossings of ``d`` (virtual intersections are not crossings)."""
-    return len(d.crossings)
+    return sum(map(len, d._marks)) >> 1
 
 
 def _mark(cid: int, over: bool, sign: int) -> int:
@@ -149,64 +183,37 @@ def _mark(cid: int, over: bool, sign: int) -> int:
 
 
 def _strand_sequences(d: Diagram) -> list[list[int]]:
-    """Per-strand marks (see :func:`_mark`) in key order, with
-    ``d.crossings[cid]`` as crossing ``cid``."""
-    # keys on one strand are distinct (a Diagram checks it), so each strand
-    # maps key to mark and sorts its keys alone, not (key, mark) pairs
-    buckets: list[dict[Key, int]] = [{} for _ in range(d.n)]
-    for cid, c in enumerate(d.crossings):
-        mk = _mark(cid, True, c.sign)
-        buckets[c.over[0] - 1][c.over[1]] = mk
-        buckets[c.under[0] - 1][c.under[1]] = mk ^ 2
-    return [[bucket[k] for k in sorted(bucket)] for bucket in buckets]
-
-
-def _tidy_keys(strands: list[list[int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """The tidy numbering of per-strand mark orders: ``({mark: (strand,
-    key)}, end-of-strand keys)``, in walk order.  Keys run ``1 .. 2c + n``
-    along strand 1's marks, its end-of-strand, then strand 2, and so on, so
-    over marks are met in increasing key order."""
-    where: dict[int, tuple[int, int]] = {}
-    eos: list[int] = []
-    k = 1
-    for a, seq in enumerate(strands, start=1):
-        for mk in seq:
-            where[mk] = (a, k)
-            k += 1
-        eos.append(k)
-        k += 1
-    return where, eos
+    """A copy of ``d._marks`` that the caller may edit."""
+    return [list(seq) for seq in d._marks]
 
 
 def _assemble(strands: list[list[int]]) -> Diagram:
-    """Build the tidied diagram with the given per-strand orders of marks
-    (see :func:`_mark`), one list per strand.
+    """The tidied diagram of the given per-strand mark lists (see
+    :func:`_mark`), which the caller may still edit.
 
-    Each object is made as the frozen dataclass ``__init__`` makes it, one
-    ``object.__setattr__`` per field in field order, but without
-    ``__post_init__``: the marks always describe a valid diagram.  They come
-    from a rewriting state, or from :func:`tidy` or :func:`compose` of
-    diagrams that passed validation, and in each case every crossing id has
-    exactly one over mark and one under mark.  So the tidy keys are the
-    distinct ints ``1 .. 2c + n``, each below its strand's end key; strands
-    are ints ``>= 1``; and bit 0 gives a sign of +1 or -1.  Every check of
-    ``Crossing.__post_init__`` and ``Diagram.__post_init__`` therefore
-    already holds.  The cascade check follows the same policy: it runs only
-    on diagrams from outside."""
-    where, eos = _tidy_keys(strands)
-    new, put = object.__new__, object.__setattr__
-    crossings = []
-    for mk, at in where.items():
-        if mk & 2:
-            c = new(Crossing)
-            put(c, "sign", 1 if mk & 1 else -1)
-            put(c, "over", at)
-            put(c, "under", where[mk ^ 2])
-            crossings.append(c)
-    d = new(Diagram)
+    Its marks are renumbered so that ids run ``0 .. c - 1`` in the walk
+    order of the over marks, the order of the tidy ``crossings`` that
+    :meth:`Diagram.__getattr__` builds.  No ``__post_init__`` runs: the
+    marks come from a rewriting state, or from :func:`tidy` or
+    :func:`compose` of checked diagrams, and every crossing id has one over
+    and one under mark.  So the tidy keys are the distinct ints
+    ``1 .. 2c + n``, each below its strand's end key, and bit 0 gives a sign
+    of +1 or -1: every check already holds.  The cascade check, too, runs
+    only on diagrams from outside."""
+    ids: dict[int, int] = {}
+    eos: list[int] = []
+    k = 0
+    for seq in strands:
+        for mk in seq:
+            if mk & 2:
+                ids[mk >> 2] = len(ids) << 2
+        k += len(seq) + 1
+        eos.append(k)
+    d = object.__new__(Diagram)
+    put = object.__setattr__
     put(d, "n", len(strands))
-    put(d, "crossings", tuple(crossings))
     put(d, "eos_keys", tuple(eos))
+    put(d, "_marks", [[ids[mk >> 2] | (mk & 3) for mk in seq] for seq in strands])
     return d
 
 
@@ -227,19 +234,18 @@ def compose(d1: Diagram, *rest: Diagram) -> Diagram:
     before the end-of-strand mark of the matching strand of the stack so
     far, then tidying.  Stacking is associative: ``compose(a, b, c) ==
     compose(compose(a, b), c)``, and ``compose(d) == tidy(d)``.
-    Crossing counts add.
+    Crossing counts add; each strand's marks are concatenated, not sorted.
     """
-    buckets: list[list[tuple[int, Key, int]]] = [[] for _ in range(d1.n)]
-    cid = 0  # crossing ids run on across the diagrams
-    for rank, d in enumerate((d1, *rest)):
+    strands: list[list[int]] = [[] for _ in range(d1.n)]
+    shift = 0  # 4 * the crossings of the diagrams stacked so far
+    for d in (d1, *rest):
         if d.n != d1.n:
             raise StrandCountMismatch(f"cannot compose diagrams on {d1.n} and {d.n} strands")
-        for c in d.crossings:
-            mk = _mark(cid, True, c.sign)
-            buckets[c.over[0] - 1].append((rank, c.over[1], mk))
-            buckets[c.under[0] - 1].append((rank, c.under[1], mk ^ 2))
-            cid += 1
-    return _assemble([[mk for _, _, mk in sorted(bucket)] for bucket in buckets])
+        for seq, marks in zip(strands, d._marks):
+            for mk in marks:
+                seq.append(mk + shift)
+        shift += sum(map(len, d._marks)) << 1
+    return _assemble(strands)
 
 
 # _DECIMAL[k] == str(k) up to the largest key written so far.  Growing it
@@ -254,9 +260,7 @@ def _canonical_text(strands: list[list[int]]) -> str:
 
     Most of the cost of this text was converting keys to decimal, so every
     key is written through the shared table ``_DECIMAL``, grown here up to
-    the largest key, ``2c + n``.  The marks are numbered as
-    :func:`_tidy_keys` numbers them, but with bare int keys: its
-    ``(strand, key)`` pairs cost more than the text needs."""
+    the largest key, ``2c + n``."""
     global _DECIMAL
     key: dict[int, int] = {}
     eos: list[int] = []
@@ -280,7 +284,7 @@ def _canonical_text(strands: list[list[int]]) -> str:
 
 def serialize(d: Diagram) -> str:
     """Canonical text form of ``d`` (the diagram is tidied first)."""
-    return _canonical_text(_strand_sequences(d))
+    return _canonical_text(d._marks)
 
 
 def canonical_key(d: Diagram) -> bytes:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 # bench/tracer.py CONSUMERS pins compose, generator_diagram, ou_normal_form and canonical_key here
 from .braid import BraidGenerator, VirtualBraidWord, generator_diagram  # noqa: F401
-from .diagram import Diagram, _check_count, canonical_key, compose, key_hash  # noqa: F401
+from .diagram import Diagram, _check_count, canonical_key, compose, crossing_number, key_hash  # noqa: F401
 from .errors import NotADivisor, NotReducedOU, OuError, StrandCountMismatch
 from .rewrite import DEFAULT_MAX_ITERS, _Scratch, ou_normal_form  # noqa: F401
 
@@ -45,7 +45,7 @@ def _require_reduced_ou(T: Diagram, max_iters: int) -> _Scratch:
     if scratch.uo_slots():
         raise NotReducedOU("diagram is not in over-then-under form")
     scratch.reduce()
-    if scratch.crossing_count() != len(T.crossings):
+    if scratch.crossing_count() != crossing_number(T):
         raise NotReducedOU("diagram admits an R1 or R2 reduction")
     return scratch.mirrored()
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diagram import Diagram, _assemble, _canonical_text, _check_count, _mark, _strand_sequences
+from .diagram import Diagram, _assemble, _canonical_text, _check_count, _mark, _strand_sequences, crossing_number
 from .errors import CapExceeded, CyclicDiagram, InvalidDiagram, SameCrossing, StrandCountMismatch
 
 __all__ = [
@@ -104,7 +104,7 @@ class _Scratch:
 
     @classmethod
     def from_diagram(cls, d: Diagram) -> "_Scratch":
-        return cls(_strand_sequences(d), len(d.crossings))
+        return cls(_strand_sequences(d), crossing_number(d))
 
     def copy(self) -> "_Scratch":
         return _Scratch([list(s) for s in self.strands], self._next)
@@ -496,7 +496,7 @@ def is_reduced(d: Diagram) -> bool:
     """True iff no R1 kink and no R2 cancelling pair is present."""
     scratch = _Scratch.from_diagram(d)
     scratch.reduce()
-    return scratch.crossing_count() == len(d.crossings)
+    return scratch.crossing_count() == crossing_number(d)
 
 
 def uo_intervals(d: Diagram) -> list[UoInterval]:

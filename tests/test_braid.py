@@ -322,6 +322,40 @@ def test_mccool_images_agree_on_equal_ch_keys():
         assert (len(set(image_of.values())), len(image_of)) == (welded, virtual)
 
 
+def test_key_path_builds_no_crossing(monkeypatch):
+    # the normal forms behind braid equality stay as strand marks: nothing
+    # on the key path, nor the checks and division on a ch output, reads
+    # an engine-built diagram's crossings
+    built = []
+    lazy = ou.Diagram.__getattr__
+
+    def counting(self, name):
+        if name == "crossings":
+            built.append(self)
+        return lazy(self, name)
+
+    monkeypatch.setattr(ou.Diagram, "__getattr__", counting)
+    rng = random.Random(31)
+    for _ in range(15):
+        n = rng.randrange(2, 5)
+        letters = [tuple(rng.choice((-k, k)) for k in rng.choices(range(1, n), k=rng.randrange(9))) for _ in range(2)]
+        b1, b2 = (ClassicalBraidWord(n, word) for word in letters)
+        w1, w2 = random_vpb_word(rng, n, rng.randrange(0, 8)), random_vpb_word(rng, n, rng.randrange(0, 8))
+        ou.braids_equal(w1, w2)
+        ou.classical_braids_equal(b1, b2)
+        ou.classical_key(b1)
+        T = ou.ch(w1)
+        ou.canonical_key(T)
+        ou.crossing_number(T)
+        assert ou.is_reduced(T)
+        ou.divisors(T)
+        ou.peel(T)
+        ou.extraction_graph(T)
+    assert built == []
+    assert len(T.crossings) == ou.crossing_number(T)  # the wrapper counts a read
+    assert built == [T]
+
+
 def test_conjugate_power_identity_under_both_deciders():
     # 2 1^k -2 = -1 2^k 1: sigma2 conjugates sigma1 to sigma1^-1 sigma2 sigma1
     for k in range(7):

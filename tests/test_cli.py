@@ -253,6 +253,13 @@ def test_missing_file_is_usage_error(capsys):
         (["eq", "vpb 3: s\u0661,2", "vpb 3: s1,2"], None, None),
         (["tabulate", "--kind", "virtual", "-n", "1001", "-m", "0"], None, None),
         (["worst", "--kind", "classical", "-n", "1001", "-m", "1"], None, None),
+        (["fibcheck", "-m", "1_0"], None, None),
+        (["fibcheck", "-m", "\uff13"], None, None),
+        (["fibcheck", "-m", "\u0663"], None, None),
+        (["fibcheck", "-m", "+3"], None, None),
+        (["fibcheck", "-m", " 3 "], None, None),
+        (["fibcheck", "-m", "9" * 5000], None, None),
+        (["ch", "vpb 2: s1,2"], "1_000", None),
     ],
     ids=[
         "tabulate-n1",
@@ -274,6 +281,13 @@ def test_missing_file_is_usage_error(capsys):
         "non-ascii-generator",
         "tabulate-too-many-strands",
         "worst-too-many-strands",
+        "underscore-option",
+        "fullwidth-digit-option",
+        "arabic-indic-digit-option",
+        "plus-sign-option",
+        "spaced-option",
+        "too-long-option",
+        "underscore-env",
     ],
 )
 def test_bad_input_is_usage_error_without_traceback(argv, env, diagram, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import functools
+import pickle
 import random
 import types
 from fractions import Fraction
@@ -321,14 +324,17 @@ def test_invalid_diagram_construction():
 
 
 def test_engine_built_diagrams_pass_the_constructor_checks():
-    # the engine builds its diagrams without the constructor checks; each
-    # must pass them and equal the one the checked constructor builds
+    # the engine builds its diagrams without the constructor checks, and
+    # without their crossings until those are read; each must pass the
+    # checks, equal the one the checked constructor builds, and copy,
+    # pickle and replace as that one does
     rng = random.Random(26)
-    built = []
+    built, stacks = [], []
     for _ in range(40):
         n = rng.randrange(1, 5)
         d, e = random_gauss(rng, n, rng.randrange(0, 7)), random_gauss(rng, n, rng.randrange(0, 7))
-        built += [ou.tidy(d), ou.compose(d, e), ou.compose(e, d, e)]
+        stacks += [ou.compose(d, e), ou.compose(e, d, e)]
+        built += [ou.tidy(d), *stacks[-2:]]
         built += [ou.ou_normal_form(x) for x in (d, e) if ou.is_acyclic(x)]
     tops = [ou.ch(ou.classical_to_vpb(ou.ClassicalBraidWord(4, (1, 2, 1, 3, 2, 1)))[0])]
     for _ in range(20):
@@ -340,11 +346,29 @@ def test_engine_built_diagrams_pass_the_constructor_checks():
         built.append(ou.peel(T, random.Random(0))[1])
         built += [ou.quotient(T, g) for g in ou.divisors(T)]
     assert sum(ou.crossing_number(D) for D in built) > 500
+    assert not hasattr(object.__new__(Diagram), "crossings")
+    lazy = 0
     for D in built:
+        # copies taken before anything reads the crossings
+        lazy += "crossings" not in vars(D)
+        copies = [pickle.loads(pickle.dumps(D)), copy.copy(D), copy.deepcopy(D)]
+        copies.append(dataclasses.replace(D))
         Diagram.__post_init__(D)
         for c in D.crossings:
             Crossing.__post_init__(c)
         checked = Diagram(D.n, tuple(Crossing(c.sign, c.over, c.under) for c in D.crossings), D.eos_keys)
-        assert D == checked
-        assert hash(D) == hash(checked)
-        assert repr(D) == repr(checked)
+        for x in (D, *copies):
+            assert x == checked
+            assert hash(x) == hash(checked)
+            assert repr(x) == repr(checked)
+            assert diagram._strand_sequences(x) == diagram._strand_sequences(checked)
+    assert lazy > 100
+    # mark ids are crossing indexes: the intervals and the cascade digraph,
+    # which name crossings by index, agree with the rebuild's
+    slots = 0
+    for D in stacks:
+        checked = Diagram(D.n, D.crossings, D.eos_keys)
+        assert ou.uo_intervals(D) == ou.uo_intervals(checked)
+        assert ou.cascade_graph(D) == ou.cascade_graph(checked)
+        slots += len(ou.uo_intervals(D))
+    assert slots > 50
