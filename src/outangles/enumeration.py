@@ -226,7 +226,9 @@ def tabulate(
     is followed by its inverse or by a commuting letter that sorts before it.
 
     ``representatives_path`` is opened for writing before the frontier
-    runs, so an unwritable path fails at once.
+    runs, so an unwritable path fails at once, but written only after it
+    returns, so a run that raises leaves it empty.  It has one line per braid
+    in index order: by first length, then lexicographic word order.
     """
     _check_kind(kind)
     _check_count(n, 2)
@@ -235,13 +237,14 @@ def tabulate(
     if max_keys is not None:
         _check_count(max_keys, 1, "max_keys")
     path_str = None if representatives_path is None else os.fspath(representatives_path)
+    token = BraidGenerator.token if kind == "virtual" else str
+    counts = [0] * (m + 1)
     with contextlib.nullcontext() if path_str is None else open(path_str, "w", encoding="ascii") as fh:
         index = _braid_index(*_ou_frontier(n, kind, max_iters), generators(n, kind), m, max_keys)
-        if fh is not None:
-            _write_representatives(fh, n, kind, index)
-    counts = [0] * (m + 1)
-    for word in index.values():
-        counts[len(word)] += 1
+        for key, word in index.items():
+            counts[len(word)] += 1
+            if fh is not None:
+                fh.write(" ".join([kind, str(n), str(len(word)), *map(token, word), key_hash(key)]) + "\n")
     return TabulationReport(n, m, kind, tuple(counts), path_str)
 
 
@@ -280,20 +283,6 @@ def _braid_index(root, step, key, alphabet: list, m: int, max_keys: int | None) 
         level = fresh
         grown = next_grown
     return index
-
-
-def _tokens(word: tuple, kind: str) -> list[str]:
-    if kind == "virtual":
-        return [g.token() for g in word]
-    return [str(k) for k in word]
-
-
-def _write_representatives(fh, n: int, kind: str, index: dict) -> None:
-    """One line per braid in index order, which is by first length and then
-    lexicographic word order (see :func:`tabulate`)."""
-    for key, word in index.items():
-        parts = [kind, str(n), str(len(word)), *_tokens(word, kind), key_hash(key)]
-        fh.write(" ".join(parts) + "\n")
 
 
 def read_representatives(path: str | os.PathLike):

@@ -396,6 +396,40 @@ def is_bipartite_undirected(graph) -> bool:
     return True
 
 
+def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """A reduced word of ``perm`` (one-line notation) as positive classical
+    letters: letter ``k`` swaps the entries in positions ``k`` and ``k + 1``,
+    and the letters turn the identity into ``perm``.  Bubble sort makes one
+    swap per inversion, so the word is reduced."""
+    p, swaps = list(perm), []
+    for end in range(len(p) - 1, 0, -1):
+        for k in range(end):
+            if p[k] > p[k + 1]:
+                p[k], p[k + 1] = p[k + 1], p[k]
+                swaps.append(k + 1)
+    return tuple(reversed(swaps))
+
+
+def inversions(perm: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The value pairs ``(a, b)``, ``a < b``, with ``b`` before ``a`` in ``perm``."""
+    return frozenset((b, a) for i, a in enumerate(perm) for b in perm[:i] if b > a)
+
+
+def weak_order_interval(perm: tuple[int, ...]) -> tuple[int, int]:
+    """Node and edge counts of the interval [e, ``perm``] of the right weak
+    order on S_n and of its Hasse diagram.  ``u <= w`` iff the inversions of
+    ``u`` are inversions of ``w`` (Bjorner and Brenti, Combinatorics of
+    Coxeter Groups, Prop. 3.1.3), and a cover swaps two adjacent entries
+    into an inversion."""
+    top = inversions(perm)
+    below = {u for u in itertools.permutations(sorted(perm)) if inversions(u) <= top}
+    covers = [
+        u for u in below for k in range(len(u) - 1)
+        if u[k] < u[k + 1] and u[:k] + (u[k + 1], u[k]) + u[k + 2:] in below
+    ]
+    return len(below), len(covers)
+
+
 def random_gauss(rng: random.Random, n: int, c: int) -> Diagram:
     """A random Gauss diagram with ``c`` crossings on ``n`` strands, with
     rational keys and its crossings in random order."""

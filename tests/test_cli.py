@@ -143,7 +143,7 @@ def test_tabulate_command_desk_scale(capsys):
     assert out.rstrip().splitlines()[-1] == "3 4 virtual 15156"
 
 
-def test_tabulate_workers_same_bytes(tmp_path, capsys):
+def test_tabulate_bytes_do_not_depend_on_the_hash_seed(tmp_path, capsys):
     # stdout and representatives bytes do not depend on the process, and so
     # on the hash seed, that computes them
     path = tmp_path / "here.txt"
@@ -151,6 +151,25 @@ def test_tabulate_workers_same_bytes(tmp_path, capsys):
     assert main(argv + ["--representatives", str(path)]) == 0
     expect = (capsys.readouterr().out.encode("ascii"), path.read_bytes())
     assert tabulate_in_children(tmp_path, 3, 4, "classical") == {expect}
+
+
+def test_a_run_that_fails_later_leaves_an_empty_file(tmp_path, capsys):
+    # both output files are opened, and so emptied, before the tabulation or
+    # the graph starts, and written only once it has finished
+    out = tmp_path / "out.txt"
+    out.write_text("stale\n")
+    argv = ["tabulate", "--kind", "classical", "-n", "3", "-m", "4", "--max-keys", "114"]
+    assert main(argv + ["--representatives", str(out)]) == 1  # the table has 115 braids
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_bytes() == b""
+
+    twist = tmp_path / "twist.vd"
+    assert main(["ch", "br 6: 1 2 3 4 5 1 2 3 4 1 2 3 1 2 1"]) == 0
+    twist.write_text(capsys.readouterr().out)
+    out.write_text("stale\n")
+    assert main(["--max-iters", "0", "eg", "-o", str(out), str(twist)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_bytes() == b""
 
 
 def test_unwritable_representatives_path_fails_before_tabulating(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,9 @@ from helpers import (
     is_bipartite_undirected,
     random_reduced_ou,
     random_vpb_word,
+    reduced_word,
     twist_word,
+    weak_order_interval,
 )
 
 import outangles as ou
@@ -183,6 +186,22 @@ def test_extraction_graph_half_twist_skeletons():
         assert g.node_count() == fact
         assert g.edge_count() == fact * (n - 1) // 2
         assert is_bipartite_undirected(g)
+
+
+def test_extraction_graphs_of_permutation_braids_are_weak_order_intervals():
+    # the positive braid of a reduced word of a permutation is a simple
+    # braid, and its graph has the nodes and edges of the weak-order interval
+    # below the permutation and of its Hasse diagram: division recovers the
+    # left divisors of the half twist in the positive monoid (Garside 1969;
+    # Elrifai and Morton 1994).  The 6-strand half twist gives the whole
+    # permutohedron
+    half_twist = tuple(range(6, 0, -1))
+    assert weak_order_interval(half_twist) == (720, 1800)
+    for perm in [*(p for n in (3, 4, 5) for p in itertools.permutations(range(1, n + 1))), half_twist]:
+        word, end = ou.classical_to_vpb(ou.ClassicalBraidWord(len(perm), reduced_word(perm)))
+        assert end == perm
+        g = ou.extraction_graph(ou.ch(word))
+        assert (g.node_count(), g.edge_count()) == weak_order_interval(perm), perm
 
 
 def test_extraction_graph_edges_decrease_xi():

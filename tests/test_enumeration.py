@@ -284,6 +284,39 @@ def test_tabulate_mirror_symmetry_classical():
     assert mirrored_counts(4, 2) == ou.tabulate(4, 2, "classical").count_exactly
 
 
+def test_tables_are_closed_under_their_symmetries(tab):
+    # a length-preserving symmetry of the group maps each braid of minimal
+    # length L to a braid of minimal length L, so every image of a
+    # representative must be a braid of the table at its length.  A braid
+    # the frontier missed shows here, which counts alone cannot show.  Full
+    # keys are compared, not their hashes
+    def misses(n, m, kind, key, symmetries):
+        words = [word.letters for word, _, _ in ou.read_representatives(tab(n, m, kind).representatives_path)]
+        keys = collections.defaultdict(set)
+        for w in words:
+            keys[len(w)].add(key(w))
+        return [(w, s) for w in words for s in symmetries if key(s(w)) not in keys[len(w)]]
+
+    for n, m in ((3, 6), (4, 4)):
+        symmetries = [
+            lambda w: tuple(-k for k in reversed(w)),  # inverse
+            lambda w: tuple(-k for k in w),  # mirror
+            lambda w: tuple(n - k if k > 0 else -n - k for k in w),  # flip: k -> ±(n - |k|)
+        ]
+        assert misses(n, m, "classical", lambda w: ou.classical_key(ou.ClassicalBraidWord(n, w)), symmetries) == []
+
+    for n, m in ((3, 3), (4, 2)):
+        symmetries = [
+            lambda w: tuple(g.inverse() for g in reversed(w)),  # inverse
+            lambda w: tuple(g.inverse() for g in w),  # mirror
+            *(  # every strand relabelling
+                lambda w, p=p: tuple(BraidGenerator(p[g.i - 1], p[g.j - 1], g.sign) for g in w)
+                for p in itertools.permutations(range(1, n + 1))
+            ),
+        ]
+        assert misses(n, m, "virtual", lambda w: ou.canonical_key(ou.ch(ou.VirtualBraidWord(n, w))), symmetries) == []
+
+
 def test_representatives_file_roundtrip(tab):
     def letter_key(letter):
         if isinstance(letter, BraidGenerator):
