@@ -19,6 +19,7 @@ import contextlib
 import functools
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -173,18 +174,18 @@ def _ou_frontier(n: int, kind: str, max_iters: int) -> tuple:
 
 def _children(states: list, step, letters):
     """The children of one level's ``(word, state)`` pairs, as ``(parent
-    word, letter, child state)``: each word extended by every letter of
-    ``letters(word)``, in parent order then in the order given, which must
-    be generator order.  A level built from these children in that order
-    stays in lexicographic word order, letters compared in generator order.
-    The list ``states`` is emptied as it is read, so a parent is freed once
-    its children are made, not with its whole level; that lowers the peak
-    memory of the frontier's deepest level."""
+    word, letter, child state, parent position)``: each word extended by
+    every letter of ``letters(word)``, in parent order then in the order
+    given, which must be generator order.  A level built from these children
+    in that order stays in lexicographic word order, letters compared in
+    generator order.  The list ``states`` is emptied as it is read, so a
+    parent is freed once its children are made, not with its whole level;
+    that lowers the peak memory of the frontier's deepest level."""
     states.reverse()
-    while states:
+    for position in range(len(states)):
         word, state = states.pop()
         for h in letters(word):
-            yield word, h, step(state, h)
+            yield word, h, step(state, h), position
 
 
 def tabulate(
@@ -228,7 +229,9 @@ def tabulate(
     ``representatives_path`` is opened for writing before the frontier
     runs, so an unwritable path fails at once, but written only after it
     returns, so a run that raises leaves it empty.  It has one line per braid
-    in index order: by first length, then lexicographic word order.
+    in index order: by first length, then lexicographic word order.  The
+    index holds keys, not words; a line's tokens are its parent's and its
+    letter's, held one level at a time.
     """
     _check_kind(kind)
     _check_count(n, 2)
@@ -237,22 +240,33 @@ def tabulate(
     if max_keys is not None:
         _check_count(max_keys, 1, "max_keys")
     path_str = None if representatives_path is None else os.fspath(representatives_path)
-    token = BraidGenerator.token if kind == "virtual" else str
-    counts = [0] * (m + 1)
+    alphabet = generators(n, kind)
     with contextlib.nullcontext() if path_str is None else open(path_str, "w", encoding="ascii") as fh:
-        index = _braid_index(*_ou_frontier(n, kind, max_iters), generators(n, kind), m, max_keys)
-        for key, word in index.items():
-            counts[len(word)] += 1
-            if fh is not None:
-                fh.write(" ".join([kind, str(n), str(len(word)), *map(token, word), key_hash(key)]) + "\n")
-    return TabulationReport(n, m, kind, tuple(counts), path_str)
+        index, levels = _braid_index(*_ou_frontier(n, kind, max_iters), alphabet, m, max_keys)
+        if fh is not None:
+            token = BraidGenerator.token if kind == "virtual" else str
+            spaced = {h: token(h) + " " for h in alphabet}
+            keys = iter(index)
+            tokens = [""]  # a level's letter tokens, each followed by a space
+            for depth in range(m + 1):
+                if depth:
+                    parents, letters = levels[depth - 1]
+                    prev = tokens
+                    tokens = (prev[p] + spaced[h] for p, h in zip(parents, letters))
+                    if depth < m:  # the next level's parents
+                        tokens = list(tokens)
+                fh.writelines(f"{kind} {n} {depth} {t}{key_hash(next(keys))}\n" for t in tokens)
+    counts = (1, *(len(letters) for _, letters in levels))
+    return TabulationReport(n, m, kind, counts, path_str)
 
 
-def _braid_index(root, step, key, alphabet: list, m: int, max_keys: int | None) -> dict:
-    """Key -> representative word of every braid with at most ``m`` letters
-    of ``alphabet``, by the frontier of :func:`tabulate` from the empty
-    word's state ``root``.  ``step(state, letter)`` returns a new state, and
-    ``key`` must decide equality in the group: the proof uses nothing else."""
+def _braid_index(root, step, key, alphabet: list, m: int, max_keys: int | None) -> tuple:
+    """``(index, levels)`` of every braid with at most ``m`` letters of
+    ``alphabet``, by the frontier of :func:`tabulate` from the empty word's
+    state ``root``: ``index`` maps keys to ``None`` in file order, and
+    ``levels[L - 1]`` holds level ``L``'s parent positions and letters.
+    ``step(state, letter)`` returns a new state, and ``key`` must decide
+    equality in the group: the proof uses nothing else."""
     # each representative one letter shorter than the level's parents -> the
     # letters, in generator order, whose push from it gave a new braid
     grown: dict[tuple, list] = {(): alphabet}
@@ -260,29 +274,33 @@ def _braid_index(root, step, key, alphabet: list, m: int, max_keys: int | None) 
     def letters(word):
         return grown.get(word[1:], ())
 
-    index = {key(root): ()}
+    index = {key(root): None}
+    levels = []
     level = [((), root)]
     for depth in range(1, m + 1):
         fresh = []
         next_grown = {}
         parent = None
-        for word, h, state in _children(level, step, letters):
+        parents, new_letters = array("I"), []
+        for word, h, state, position in _children(level, step, letters):
             k = key(state)
             if k in index:
                 continue
             if max_keys is not None and len(index) >= max_keys:
                 raise ResourceLimit(f"more than {max_keys} stored keys")
-            child = word + (h,)
-            index[k] = child
+            index[k] = None
+            parents.append(position)
+            new_letters.append(h)
             if depth < m:  # the last level's states are never extended
-                fresh.append((child, state))
+                fresh.append((word + (h,), state))
                 if word is not parent:
                     parent = word
                     next_grown[word] = parent_grown = []
                 parent_grown.append(h)
+        levels.append((parents, new_letters))
         level = fresh
         grown = next_grown
-    return index
+    return index, levels
 
 
 def read_representatives(path: str | os.PathLike):
@@ -354,12 +372,12 @@ def worst_braid(
         # same braid and same last letter: identical proud subtrees
         seen = set()
         fresh = []
-        for word, h, state in _children(level, step, proud):
+        for word, h, state, _ in _children(level, step, proud):
             if (pair := (key(state), h)) not in seen:
                 seen.add(pair)
                 fresh.append((word + (h,), state))
         level = fresh
     xi = (lambda acc: acc.crossing_count()) if kind == "virtual" else (lambda state: state[0].crossing_count())
     # max() keeps the first of equal maxima, and the last level is in lex order
-    word, h, state = max(_children(level, step, proud), key=lambda child: xi(child[2]))
+    word, h, state, _ = max(_children(level, step, proud), key=lambda child: xi(child[2]))
     return (VirtualBraidWord if kind == "virtual" else ClassicalBraidWord)(n, word + (h,)), xi(state)

@@ -538,6 +538,16 @@ def run_cli(argv: list[str], hash_seed: str) -> subprocess.CompletedProcess:
     )
 
 
+def index_words(levels) -> list[tuple]:
+    """The words of ``_braid_index``'s ``levels``, in index order: each
+    representative is its parent's word and its letter."""
+    words, out = [()], [()]
+    for parents, letters in levels:
+        words = [words[p] + (h,) for p, h in zip(parents, letters)]
+        out += words
+    return out
+
+
 def tabulate_in_children(tmp_dir, n: int, m: int, kind: str) -> set[tuple[bytes, bytes]]:
     """Run ``outangles tabulate`` once per seed in :data:`HASH_SEEDS` and
     return the distinct ``(stdout, representatives file)`` byte pairs."""

@@ -210,7 +210,7 @@ def test_criterion_8d_peel_confluence(corpus, closure):
                 assert ou.braids_equal(got_word, det[0])
 
 
-def test_criterion_8e_tabulate_worker_independence(tab, tmp_path):
+def test_criterion_8e_tabulate_bytes_do_not_depend_on_the_hash_seed(tab, tmp_path):
     with criterion(8, "tabulation bytes identical in processes with other hash seeds"):
         here = tab(3, 3, "virtual")
         with open(here.representatives_path, "rb") as fh:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -476,3 +477,37 @@ def test_prepend_matches_reference_normal_form():
                 expect = _reference_normal_form(stacked)[0] if by_oracle else ou.ou_normal_form(stacked)
                 assert walked.canonical_text() == ou.serialize(expect)
                 assert not walked.uo_slots()
+
+
+def _shortest_descent(word) -> int:
+    """The length of the shortest source-to-sink path of the extraction
+    graph of ``ch(word)``."""
+    g = ou.extraction_graph(ou.ch(word))
+    succ = collections.defaultdict(list)
+    for src, _, dst in g.edges:
+        succ[src].append(dst)
+    length, frontier = 0, {g.source}
+    while g.sink not in frontier:
+        frontier = {dst for key in frontier for dst in succ[key]}
+        length += 1
+    return length
+
+
+def test_shortest_descent_against_word_length(tab):
+    # every source-to-sink path spells a word for the braid, so the shortest
+    # is never shorter than the braid's minimal word, the representative
+    for n, m, table in ((3, 3, 3), (4, 2, 3)):
+        for word, length, _ in ou.read_representatives(tab(n, table, "virtual").representatives_path):
+            if length <= m:
+                assert _shortest_descent(word) == length, word
+    # classical braids, as pure vpb words of the same length: the descent
+    # is longer on a few braids from five letters on
+    longer = collections.Counter()
+    for word, length, _ in ou.read_representatives(tab(3, 9, "classical").representatives_path):
+        if length <= 6:
+            descent = _shortest_descent(ou.classical_to_vpb(word)[0])
+            assert descent >= length, word
+            longer[length] += descent > length
+    assert +longer == {5: 2, 6: 10}
+    word = ou.parse_classical("br 3: 1 2 2 1 1")
+    assert (len(word.letters), _shortest_descent(ou.classical_to_vpb(word)[0])) == (5, 7)

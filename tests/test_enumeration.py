@@ -1,9 +1,19 @@
 import collections
 import hashlib
 import itertools
+import sys
+import tracemalloc
 
 import pytest
-from helpers import artin_image, artin_step, mccool_image, mccool_step, tabulate_in_children, word_is_proud
+from helpers import (
+    artin_image,
+    artin_step,
+    index_words,
+    mccool_image,
+    mccool_step,
+    tabulate_in_children,
+    word_is_proud,
+)
 
 import outangles as ou
 from outangles import BraidGenerator
@@ -205,11 +215,11 @@ def test_artin_keyed_frontier_chooses_the_same_representatives(tab):
     # frontier must choose the same words in the same order, which checks
     # every merge the OU engine made on these tables, in both directions
     for n, m in ((3, 9), (4, 5), (5, 4)):
-        index = ou.enumeration._braid_index(
+        _, levels = ou.enumeration._braid_index(
             artin_image(n, ()), artin_step, lambda images: images, ou.generators(n, "classical"), m, None
         )
         reps = ou.read_representatives(tab(n, m, "classical").representatives_path)
-        assert list(index.values()) == [word.letters for word, _, _ in reps]
+        assert index_words(levels) == [word.letters for word, _, _ in reps]
 
 
 def test_mccool_keyed_frontier_counts_the_welded_braids(tab):
@@ -219,15 +229,35 @@ def test_mccool_keyed_frontier_counts_the_welded_braids(tab):
     # virtual members, read off the virtual representatives, which are
     # written by first length
     for n, m, welded in ((3, 4, (1, 12, 120, 1116, 10080)), (4, 3, (1, 24, 456, 8024))):
-        index = ou.enumeration._braid_index(
+        index, levels = ou.enumeration._braid_index(
             mccool_image(n, ()), mccool_step, lambda images: images, ou.generators(n, "virtual"), m, None
         )
         first_length = {}
         for word, length, _ in ou.read_representatives(tab(n, m, "virtual").representatives_path):
             first_length.setdefault(mccool_image(n, word.letters), length)
-        assert {images: len(word) for images, word in index.items()} == first_length
+        assert {images: len(word) for images, word in zip(index, index_words(levels))} == first_length
         counts = collections.Counter(first_length.values())
         assert tuple(counts[length] for length in range(m + 1)) == welded
+
+
+def test_tabulate_holds_little_beyond_its_keys(tmp_path):
+    # the index stores each braid's key and, per level, a parent position and
+    # a letter, and the file is rendered a level at a time: the traced peak
+    # stays within 1.7 times the keys' own size (a word tuple per braid and
+    # the whole last level's lines read about 2)
+    path = tmp_path / "virtual-4-3.txt"
+    tracemalloc.start()
+    try:
+        ou.tabulate(4, 3, "virtual", representatives_path=path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    keys = 0
+    for word, _, digest in ou.read_representatives(path):
+        key = ou.canonical_key(ou.ch(word))
+        assert ou.diagram.key_hash(key) == digest
+        keys += sys.getsizeof(key)
+    assert peak < 1.7 * keys, peak / keys
 
 
 def test_tabulate_monotone_cumulative():
@@ -239,7 +269,7 @@ def test_tabulate_monotone_cumulative():
     )
 
 
-def test_tabulate_worker_independence_small(tmp_path):
+def test_tabulate_bytes_do_not_depend_on_the_hash_seed_small(tmp_path):
     # the representatives bytes do not depend on the process's hash seed
     path = tmp_path / "here.txt"
     ou.tabulate(3, 2, "virtual", representatives_path=path)
