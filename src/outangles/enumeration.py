@@ -20,6 +20,7 @@ import functools
 import os
 import re
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -173,19 +174,19 @@ def _ou_frontier(n: int, kind: str, max_iters: int) -> tuple:
 
 
 def _children(states: list, step, letters):
-    """The children of one level's ``(word, state)`` pairs, as ``(parent
-    word, letter, child state, parent position)``: each word extended by
-    every letter of ``letters(word)``, in parent order then in the order
-    given, which must be generator order.  A level built from these children
-    in that order stays in lexicographic word order, letters compared in
-    generator order.  The list ``states`` is emptied as it is read, so a
-    parent is freed once its children are made, not with its whole level;
-    that lowers the peak memory of the frontier's deepest level."""
+    """The children of one level's ``(tag, state)`` pairs, as ``(parent tag,
+    letter, child state, parent position)``: each state stepped by every
+    letter of ``letters(tag)``, in parent order then in the order given,
+    which must be generator order (or stand for it, as the positions of
+    :func:`_braid_index` do).  A level built from these children in that
+    order stays in lexicographic word order.  The list ``states`` is emptied
+    as it is read, so a parent is freed once its children are made, not
+    with its whole level; that lowers the peak memory of the deepest level."""
     states.reverse()
     for position in range(len(states)):
-        word, state = states.pop()
-        for h in letters(word):
-            yield word, h, step(state, h), position
+        tag, state = states.pop()
+        for h in letters(tag):
+            yield tag, h, step(state, h), position
 
 
 def tabulate(
@@ -229,9 +230,9 @@ def tabulate(
     ``representatives_path`` is opened for writing before the frontier
     runs, so an unwritable path fails at once, but written only after it
     returns, so a run that raises leaves it empty.  It has one line per braid
-    in index order: by first length, then lexicographic word order.  The
-    index holds keys, not words; a line's tokens are its parent's and its
-    letter's, held one level at a time.
+    in index order: by first length, then lexicographic word order.  No
+    word is held: the index holds keys, a frontier entry its suffix's
+    position, and a line's tokens are its parent's and its letter's.
     """
     _check_kind(kind)
     _check_count(n, 2)
@@ -266,23 +267,25 @@ def _braid_index(root, step, key, alphabet: list, m: int, max_keys: int | None) 
     state ``root``: ``index`` maps keys to ``None`` in file order, and
     ``levels[L - 1]`` holds level ``L``'s parent positions and letters.
     ``step(state, letter)`` returns a new state, and ``key`` must decide
-    equality in the group: the proof uses nothing else."""
-    # each representative one letter shorter than the level's parents -> the
-    # letters, in generator order, whose push from it gave a new braid
-    grown: dict[tuple, list] = {(): alphabet}
+    equality in the group: the proof uses nothing else.
 
-    def letters(word):
-        return grown.get(word[1:], ())
-
+    A frontier entry is ``(suffix position, state)``: where its word less
+    the first letter sits in the level before.  Its grown letters are that
+    suffix's children one level on, a run of that level's parent positions
+    (non-decreasing, by :func:`_children`'s order), and a child's suffix is
+    the position in the run that gave its letter."""
     index = {key(root): None}
     levels = []
-    level = [((), root)]
+    level = [(0, root)]
+    runs, grown = [0] * len(alphabet), alphabet  # the empty word grows every letter
+
+    def run(parent):  # where the children of ``parent`` sit one level on
+        return range(bisect_left(runs, parent), bisect_right(runs, parent))
+
     for depth in range(1, m + 1):
         fresh = []
-        next_grown = {}
-        parent = None
-        parents, new_letters = array("I"), []
-        for word, h, state, position in _children(level, step, letters):
+        parents, letters = array("I"), []
+        for _, at, state, position in _children(level, lambda state, at: step(state, grown[at]), run):
             k = key(state)
             if k in index:
                 continue
@@ -290,16 +293,11 @@ def _braid_index(root, step, key, alphabet: list, m: int, max_keys: int | None) 
                 raise ResourceLimit(f"more than {max_keys} stored keys")
             index[k] = None
             parents.append(position)
-            new_letters.append(h)
+            letters.append(grown[at])
             if depth < m:  # the last level's states are never extended
-                fresh.append((word + (h,), state))
-                if word is not parent:
-                    parent = word
-                    next_grown[word] = parent_grown = []
-                parent_grown.append(h)
-        levels.append((parents, new_letters))
-        level = fresh
-        grown = next_grown
+                fresh.append((at if depth > 1 else 0, state))  # level 1: the empty suffix
+        levels.append((parents, letters))
+        level, runs, grown = fresh, parents, letters
     return index, levels
 
 

@@ -222,6 +222,40 @@ def test_artin_keyed_frontier_chooses_the_same_representatives(tab):
         assert index_words(levels) == [word.letters for word, _, _ in reps]
 
 
+def test_artin_keyed_frontier_at_depth_11_keeps_the_fibonacci_counts(monkeypatch):
+    # keyed by Artin images alone, (3, <= 11) classical gives the paper's
+    # 6*2^m - 2F(m+3) - 2 braids per length, and the pushes that find no new
+    # braid (the minimal forbidden factors) go on as 2L - 2 up to L = 11
+    pushes = []
+    inner = ou.enumeration._children
+
+    def counting(*args):
+        pushes.append(0)
+        for child in inner(*args):
+            pushes[-1] += 1
+            yield child
+
+    monkeypatch.setattr(ou.enumeration, "_children", counting)
+    _, levels = ou.enumeration._braid_index(
+        artin_image(3, ()), artin_step, lambda images: images, ou.generators(3, "classical"), 11, None
+    )
+    counts = (1, *(len(letters) for _, letters in levels))
+    assert ou.fibonacci_check(11, counts)
+    assert tuple(p - new for p, new in zip(pushes, counts[1:])) == (0, 4, 6, 4, 8, 10, 12, 14, 16, 18, 20)
+    assert sum(pushes) == 22690
+
+
+def test_representatives_are_closed_under_dropping_an_end_letter(tab):
+    # the frontier grows a word only from its prefix and locates it by its
+    # suffix, so both must be representatives of the same table
+    tables = [(3, 8, "classical", 2589), (4, 5, "classical", 1579), (5, 4, "classical", 1143),
+              (3, 4, "virtual", 16717), (4, 3, "virtual", 10873)]
+    for n, m, kind, size in tables:
+        words = {word.letters for word, _, _ in ou.read_representatives(tab(n, m, kind).representatives_path)}
+        assert len(words) == size
+        assert [w for w in words if w and not (w[1:] in words and w[:-1] in words)] == []
+
+
 def test_mccool_keyed_frontier_counts_the_welded_braids(tab):
     # the McCool action is faithful on the welded pure braid group (Fenn,
     # Rimanyi and Rourke 1997), so keyed by it the frontier gives each welded
